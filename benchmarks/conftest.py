@@ -13,13 +13,6 @@ import pytest
 
 def pytest_addoption(parser):
     parser.addoption(
-        "--batch",
-        action="store_true",
-        default=False,
-        help="Run only the batched-drain benchmarks (tests marked 'batch', "
-        "i.e. experiment F-batch in bench_fastpath.py).",
-    )
-    parser.addoption(
         "--update-fastpath-baseline",
         action="store_true",
         default=False,
@@ -49,22 +42,6 @@ def pytest_addoption(parser):
         "the recovery metrics measured in this run (use after an "
         "intentional change to the supervisor or channel).",
     )
-
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "batch: batched-drain benchmarks (selected by --batch)"
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    if not config.getoption("--batch"):
-        return
-    selected = [item for item in items if item.get_closest_marker("batch")]
-    deselected = [item for item in items if not item.get_closest_marker("batch")]
-    if deselected:
-        config.hook.pytest_deselected(items=deselected)
-        items[:] = selected
 
 
 @pytest.fixture

@@ -4,8 +4,8 @@ The second static-analysis subsystem, beside the flow-rule lint
 (:mod:`repro.analysis.lint`): an AST-based pass over ``src/repro/**`` with
 a pluggable rule registry emitting ``DET001``-``DET007`` (determinism
 hazards: global RNG, OS entropy, wall clocks, hash-ordered escapes) and
-``RACE001``-``RACE003`` (shared-state hazards: the cross-process races the
-sharded simulator will inherit).  Findings carry severities and fix hints,
+``RACE001``-``RACE003`` (shared-state hazards: mutable state that outlives
+one run and leaks into the next).  Findings carry severities and fix hints,
 can be silenced per site (``# repro: allow[DET003] reason``) or permitted
 by a committed baseline (``sancheck-baseline.json``) so CI fails only on
 *new* findings.

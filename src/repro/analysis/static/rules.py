@@ -3,17 +3,19 @@
 Every rule is a :func:`~repro.analysis.static.findings.san_rule`-decorated
 generator over one :class:`~repro.analysis.static.walker.ModuleModel`;
 third-party rules register the same way.  The catalogue, with the hazard
-each rule encodes for the sharded-simulator roadmap, lives in
-``docs/STATIC_ANALYSIS.md``.
+each rule encodes, lives in ``docs/STATIC_ANALYSIS.md``.
 
 Determinism rules flag sources of run-to-run divergence: process-global or
 OS-entropy randomness, wall-clock reads outside the allowlisted provider,
 hash-order escaping into iteration/serialization, and allocation-order
 (``id()``) or ``PYTHONHASHSEED``-dependent (``hash()``) values used where
-order matters.  Shared-state rules flag the mutation patterns that turn
-into cross-process races the moment the simulator shards: module globals
-mutated from functions, class attributes mutated through ``self`` aliasing,
-and mutable default arguments.
+order matters.  Shared-state rules flag the mutation patterns that let
+one run leak state into the next in the same process, so a rerun no longer
+reproduces the first: module globals mutated from functions, class
+attributes mutated through ``self`` aliasing, and mutable default
+arguments.  The ``PYTHONHASHSEED`` double-run gate
+(:mod:`repro.analysis.static.doublerun`) checks the same run-to-run
+reproducibility dynamically.
 """
 
 from __future__ import annotations
@@ -124,9 +126,9 @@ def check_unseeded_rng(model: ModuleModel, rule: SanRule):
     """Process-global or unseeded randomness: ``random.random()`` and
     friends share one hidden global stream (any new caller perturbs every
     existing one), and ``random.Random()`` with no seed reads OS entropy.
-    Both make runs unreproducible; under sharding the global stream also
-    becomes a cross-process divergence.  Only the central provider module
-    may construct RNGs."""
+    Both make runs unreproducible: a rerun with the same seed draws a
+    different stream.  Only the central provider module may construct
+    RNGs."""
     if model.relpath in PROVIDER_MODULES:
         return
     for call, origin in _calls(model):
@@ -308,9 +310,9 @@ def check_unordered_iteration(model: ModuleModel, rule: SanRule):
 def check_id_identity(model: ModuleModel, rule: SanRule):
     """Builtin ``id()`` used outside a direct identity comparison: its
     value is an allocation address, so using it as a key, tag, or ordering
-    input ties behaviour to the allocator — unreproducible across runs and
-    meaningless across shard processes.  ``id(a) == id(b)`` (same-process
-    identity, better spelled ``a is b``) is tolerated."""
+    input ties behaviour to the allocator — unreproducible across runs.
+    ``id(a) == id(b)`` (same-process identity, better spelled ``a is b``)
+    is tolerated."""
     for call, origin in _calls(model):
         if origin != "builtins.id":
             continue
@@ -358,15 +360,16 @@ def check_hash_order(model: ModuleModel, rule: SanRule):
     "global-mutation",
     SEVERITY_ERROR,
     fix_hint="pass the state in explicitly (constructor/parameter); a "
-    "module global mutated at runtime is per-process state the sharded "
-    "simulator will silently fork",
+    "module global mutated at runtime carries state from one run into "
+    "the next",
 )
 def check_global_mutation(model: ModuleModel, rule: SanRule):
     """A module-level mutable container mutated from inside a function or
-    method: hidden global state.  Two engines in one process already share
-    it accidentally; two shard processes each get a diverging copy.
-    Import-time initialization (module-level statements) is exempt, as are
-    locals shadowing the global name."""
+    method: hidden global state.  Two engines in one process share it
+    accidentally, and a second run starts from what the first left behind,
+    so it no longer reproduces the first.  Import-time initialization
+    (module-level statements) is exempt, as are locals shadowing the
+    global name."""
     mutables = model.module_mutables
     if not mutables:
         return
@@ -535,8 +538,8 @@ def _mutated_self_attr(node, self_name: str) -> str | None:
 )
 def check_mutable_default(model: ModuleModel, rule: SanRule):
     """A mutable default argument is evaluated once at def time and shared
-    by every call — state leaks between calls within a process and forks
-    between shard processes.  Immutable defaults (None, tuples,
+    by every call — state leaks from one call (and one run) into the next,
+    so reruns stop reproducing.  Immutable defaults (None, tuples,
     frozensets) are fine."""
     for node in ast.walk(model.tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):

@@ -191,7 +191,6 @@ def default_manifest() -> ShardManifest:
             "Network.transmit": "event-queue",
             "Network.at_packet_step": "event-queue",
             "Network.set_handler": "channel:admin",
-            "Network.set_batch_handler": "channel:admin",
             "Network.set_controller_sink": "channel:admin",
             "Network.set_delivery_sink": "channel:admin",
             # Epoch advancement is a barrier in a sharded run; the

@@ -75,9 +75,9 @@ class PacketIdAllocator:
     Packet ids are bookkeeping, never matched on — but they appear in
     traces, so byte-identical replay needs a resettable, deterministic
     source.  Owning the cursor as instance state (instead of rebinding a
-    module-level ``itertools.count``, the old EFF001 debt in
-    ``shardcheck-baseline.json``) keeps the mutation inside one object the
-    sharded simulator can place per worker or proxy across the channel.
+    module-level ``itertools.count``) keeps the mutation inside one object
+    that a reset restores exactly, so back-to-back runs in one process
+    allocate the same ids.
     """
 
     def __init__(self, start: int = 1) -> None:

@@ -76,14 +76,9 @@ class _BaseEngine:
         raise NotImplementedError
 
     def _bind(self) -> None:
-        """(Re)claim the network's handlers and controller/delivery sinks.
-
-        The engine's sinks are passive collectors (they only append to the
-        report/delivery lists), so batched segments may keep running while
-        they are attached.
-        """
-        self.network.set_controller_sink(self._on_report, passive=True)
-        self.network.set_delivery_sink(self._on_delivery, passive=True)
+        """(Re)claim the network's handlers and controller/delivery sinks."""
+        self.network.set_controller_sink(self._on_report)
+        self.network.set_delivery_sink(self._on_delivery)
         self._bind_handlers()
 
     def _bind_handlers(self) -> None:
@@ -158,10 +153,7 @@ class CompiledEngine(_BaseEngine):
     ``fast_path`` picks the switches' packet engine: the interpreted
     per-entry scan (False) or the indexed dispatch of
     :mod:`repro.openflow.fastpath` (True); None defers to the network's
-    ``fast_path`` default.  ``batch`` additionally registers the switches'
-    batched pipelines and flips the network into batched drain mode
-    (None: network default) — same wiring pattern as ``fast_path``.  All
-    combinations are observably identical.
+    ``fast_path`` default.  Both switch engines are observably identical.
     """
 
     mode = "compiled"
@@ -171,12 +163,10 @@ class CompiledEngine(_BaseEngine):
         network: Network,
         service: Service,
         fast_path: bool | None = None,
-        batch: bool | None = None,
     ) -> None:
         super().__init__(network, service)
         self.switches: dict[int, Switch] = {}
         self.fast_path = network.fast_path if fast_path is None else fast_path
-        self.batch = network.batch if batch is None else batch
 
     def _do_install(self) -> None:
         from repro.core.compiler import compile_service
@@ -187,12 +177,8 @@ class CompiledEngine(_BaseEngine):
             )
 
     def _bind_handlers(self) -> None:
-        # repro: allow[SHARD001] install-time drain-mode config, pre-run
-        self.network.batch = self.batch
         for node, switch in self.switches.items():
             self.network.set_handler(node, switch.process)
-            if self.batch:
-                self.network.set_batch_handler(node, switch.process_batch)
 
     def total_rules(self) -> int:
         self.install()
@@ -208,15 +194,13 @@ def make_engine(
     service: Service,
     mode: str = "interpreted",
     fast_path: bool | None = None,
-    batch: bool | None = None,
 ) -> _BaseEngine:
     """Factory: ``mode`` is "interpreted" or "compiled"; ``fast_path``
-    selects the compiled switches' packet engine and ``batch`` the batched
-    drain mode (None: network default for both)."""
+    selects the compiled switches' packet engine (None: network default)."""
     if mode == "interpreted":
         return InterpretedEngine(network, service)
     if mode == "compiled":
-        return CompiledEngine(network, service, fast_path=fast_path, batch=batch)
+        return CompiledEngine(network, service, fast_path=fast_path)
     raise ValueError(f"unknown engine mode {mode!r}")
 
 
@@ -236,7 +220,6 @@ class MultiServiceEngine:
         services: list[Service],
         mode: str = "compiled",
         fast_path: bool | None = None,
-        batch: bool | None = None,
     ) -> None:
         if mode not in ("interpreted", "compiled"):
             raise ValueError(f"unknown engine mode {mode!r}")
@@ -246,7 +229,6 @@ class MultiServiceEngine:
         self.network = network
         self.mode = mode
         self.fast_path = network.fast_path if fast_path is None else fast_path
-        self.batch = network.batch if batch is None else batch
         self.services: dict[int, Service] = {
             service.service_id: service for service in services
         }
@@ -278,15 +260,11 @@ class MultiServiceEngine:
                     for sid, service in self.services.items()
                 }
             self._installed = True
-        self.network.set_controller_sink(self._on_report, passive=True)
-        self.network.set_delivery_sink(self._on_delivery, passive=True)
+        self.network.set_controller_sink(self._on_report)
+        self.network.set_delivery_sink(self._on_delivery)
         if self.mode == "compiled":
-            # repro: allow[SHARD001] install-time drain-mode config, pre-run
-            self.network.batch = self.batch
             for node, switch in self.switches.items():
                 self.network.set_handler(node, switch.process)
-                if self.batch:
-                    self.network.set_batch_handler(node, switch.process_batch)
         else:
             for node in self.network.topology.nodes():
                 self.network.set_handler(node, self._make_dispatcher(node))

@@ -78,7 +78,6 @@ class SmartSouthRuntime:
         network: Network | Topology,
         mode: str = "interpreted",
         fast_path: bool | None = None,
-        batch: bool | None = None,
     ) -> None:
         if isinstance(network, Topology):
             network = Network(network)
@@ -87,9 +86,6 @@ class SmartSouthRuntime:
         #: Compiled-switch engine flag (None: the network's default); see
         #: :mod:`repro.openflow.fastpath` and docs/FASTPATH.md.
         self.fast_path = network.fast_path if fast_path is None else fast_path
-        #: Batched drain-mode flag, wired like ``fast_path`` (None: the
-        #: network's default); see the batching section of docs/FASTPATH.md.
-        self.batch = network.batch if batch is None else batch
         self._engines: dict[str, _BaseEngine] = {}
 
     # ------------------------------------------------------------------ #
@@ -109,11 +105,7 @@ class SmartSouthRuntime:
         engine = self._engines.get(key)
         if engine is None:
             engine = make_engine(
-                self.network,
-                service,
-                self.mode,
-                fast_path=self.fast_path,
-                batch=self.batch,
+                self.network, service, self.mode, fast_path=self.fast_path
             )
             self._engines[key] = engine
         return engine

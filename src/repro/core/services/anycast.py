@@ -38,6 +38,11 @@ from repro.core.services.base import HookContext, Service
 from repro.openflow.packet import LOCAL_PORT, NO_PORT
 
 
+def _check_gid(gid: int) -> None:
+    if gid <= 0:
+        raise ValueError("group ids must be positive")
+
+
 class AnycastService(Service):
     """Deliver to any member of the requested group, if one is reachable."""
 
@@ -46,13 +51,15 @@ class AnycastService(Service):
 
     def __init__(self, groups: Mapping[int, set[int]] | None = None) -> None:
         #: gid -> set of member node ids.
-        self.groups: dict[int, set[int]] = {
-            gid: set(members) for gid, members in (groups or {}).items()
-        }
+        self.groups: dict[int, set[int]] = {}
+        for gid, members in (groups or {}).items():
+            _check_gid(gid)
+            self.groups[gid] = set()
+            for node in members:
+                self.add_member(gid, node)
 
     def add_member(self, gid: int, node: int) -> None:
-        if gid <= 0:
-            raise ValueError("group ids must be positive")
+        _check_gid(gid)
         self.groups.setdefault(gid, set()).add(node)
 
     def groups_of(self, node: int) -> frozenset[int]:
@@ -75,13 +82,15 @@ class PriocastService(Service):
         self, priorities: Mapping[int, Mapping[int, int]] | None = None
     ) -> None:
         #: gid -> {node: priority}; priorities must fit OPT_VAL_BITS.
-        self.priorities: dict[int, dict[int, int]] = {
-            gid: dict(prio) for gid, prio in (priorities or {}).items()
-        }
+        self.priorities: dict[int, dict[int, int]] = {}
+        for gid, members in (priorities or {}).items():
+            _check_gid(gid)
+            self.priorities[gid] = {}
+            for node, priority in members.items():
+                self.add_member(gid, node, priority)
 
     def add_member(self, gid: int, node: int, priority: int) -> None:
-        if gid <= 0:
-            raise ValueError("group ids must be positive")
+        _check_gid(gid)
         if not 1 <= priority < (1 << OPT_VAL_BITS):
             raise ValueError(
                 f"priority must be in [1, {(1 << OPT_VAL_BITS) - 1}]"

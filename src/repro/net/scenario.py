@@ -74,9 +74,9 @@ GOLDEN_SCENARIOS = (
 
 #: High-fan-out scenarios: a "-storm" service injects 8–16 simultaneous
 #: triggers (roots drawn with replacement, so several land on one switch in
-#: the same time bucket) and drains them in one event-loop run.  These are
-#: the corpus entries that actually exercise batched dispatch — the batched
-#: engine must reproduce them byte for byte, interleavings included.
+#: the same time bucket) and drains them in one event-loop run.  These pin
+#: the scalar interleaving of concurrent same-time traversals byte for byte:
+#: queue order, shared counters, packet-id allocation and RNG draws.
 FANOUT_SCENARIOS = (
     ("snapshot-storm", "torus3x3", "lossy", 11),
     ("snapshot-storm", "complete5", "blackhole", 42),
@@ -195,18 +195,12 @@ def run_scenario(
     profile_name: str,
     seed: int,
     fast_path: bool,
-    batch: bool = False,
 ) -> dict:
-    """Run one seeded chaos scenario on one engine; return its observables.
-
-    ``batch=True`` runs the same scenario through the batched drain mode
-    (grouped same-time arrivals, batched fast-path dispatch); the
-    observable dict is required to be byte-identical either way.
-    """
+    """Run one seeded chaos scenario on one engine; return its observables."""
     reset_packet_ids()
     storm = service_name.endswith("-storm")
     topology = TOPOLOGIES[topology_name]()
-    network = Network(topology, seed=seed, fast_path=fast_path, batch=batch)
+    network = Network(topology, seed=seed, fast_path=fast_path)
     plan_rng = seeded_rng(seed ^ _PLAN_SALT)
     root = plan_rng.randrange(topology.num_nodes)
     faults = _plan_faults(
@@ -216,16 +210,14 @@ def run_scenario(
         service, triggers = _build_storm(service_name, topology, root, plan_rng)
     else:
         service, triggers = _build_run(service_name, topology, root, plan_rng)
-    engine = make_engine(
-        network, service, "compiled", fast_path=fast_path, batch=batch
-    )
+    engine = make_engine(network, service, "compiled", fast_path=fast_path)
 
     results = []
     error = None
     try:
         if storm:
             # All triggers enter the event queue before it drains once:
-            # simultaneous same-node arrivals form real batches.
+            # simultaneous same-node arrivals interleave in one bucket.
             trace = network.trace
             mark_in = trace.in_band_messages
             mark_out = trace.out_band_messages
@@ -265,9 +257,6 @@ def run_scenario(
         switch.fast_path_enabled == fast_path
         for switch in engine.switches.values()
     ), "engine flag did not reach the switches"
-    assert engine.batch == batch and network.batch == batch, (
-        "batch flag did not reach the network"
-    )
 
     return {
         "scenario": {

@@ -13,17 +13,12 @@ Events are kept in per-time buckets (a heap of distinct times plus a
 ``time -> [event, ...]`` index) instead of one heap entry per event.  Two
 event shapes live in a bucket:
 
-* a callable — an opaque timer (``schedule`` / ``at``), run as before;
+* a callable — an opaque timer (``schedule`` / ``at``);
 * a ``(node, packet, in_port)`` tuple — a *typed arrival*, dispatched
-  through the network's arrival handler.
+  through the network's arrival handler (no closure per packet).
 
-Typed arrivals are what makes batching possible: in batch mode the drain
-loop hands each maximal run of consecutive same-time arrivals to the
-network in one call, which regroups them by switch and feeds whole batches through the
-compiled fast path (see docs/FASTPATH.md).  Scalar mode dispatches the very
-same tuples one at a time, so both modes observe an identical event order:
-buckets drain in ascending time, events within a bucket in insertion order
-— exactly the ``(time, seq)`` order of the old one-entry-per-event heap.
+Buckets drain in ascending time, events within a bucket in insertion
+order — exactly the ``(time, seq)`` order of a one-entry-per-event heap.
 """
 
 from __future__ import annotations
@@ -46,13 +41,6 @@ from repro.openflow.switch import PacketOut
 
 #: A node's packet-processing function.
 Handler = Callable[[Packet, int], list[PacketOut]]
-#: Per-packet completion callback handed to batch handlers:
-#: ``deliver(index, outputs)`` with outputs as raw ``(port, packet)`` pairs.
-DeliverFn = Callable[[int, list], None]
-#: A node's batched packet-processing function:
-#: ``handler(items, deliver)`` with items as ``(packet, in_port)`` pairs,
-#: calling ``deliver`` once per item, in item order.
-BatchHandler = Callable[[list, DeliverFn], None]
 #: Controller upcall: (node, packet) for packets sent to CONTROLLER_PORT.
 ControllerSink = Callable[[int, Packet], None]
 #: Local delivery upcall: (node, packet) for packets sent to LOCAL_PORT.
@@ -73,10 +61,8 @@ class Simulator:
         #: time -> events in insertion order (callables and arrival tuples).
         self._buckets: dict[float, list] = {}
         self._pending = 0
-        #: Scalar arrival dispatch: ``fn(node, packet, in_port)``.
+        #: Arrival dispatch: ``fn(node, packet, in_port)``.
         self.arrival_handler: Callable[[int, Packet, int], None] | None = None
-        #: Batch arrival dispatch: ``fn(run)`` over a list of arrival tuples.
-        self.run_handler: Callable[[list], None] | None = None
 
     def _push(self, time: float, event) -> None:
         bucket = self._buckets.get(time)
@@ -105,32 +91,22 @@ class Simulator:
         """Schedule a typed packet arrival at ``now + delay``.
 
         Arrivals are stored as plain tuples (no closure per packet) and
-        dispatched through :attr:`arrival_handler` — or, in batch mode,
-        grouped into runs and handed to :attr:`run_handler`.
+        dispatched through :attr:`arrival_handler`.
         """
         if delay < 0:
             raise ValueError("negative delay")
         self._push(self.now + delay, (node, packet, in_port))
 
-    def run(
-        self,
-        until: float | None = None,
-        max_events: int = 2_000_000,
-        batch: bool = False,
-    ) -> int:
+    def run(self, until: float | None = None, max_events: int = 2_000_000) -> int:
         """Process events in time order; returns the number processed.
 
         Every event — timer callback or packet arrival — counts exactly one
-        against *max_events*, in both modes: a batched run of *n* arrivals
-        is charged *n*, and run collection is clamped to the remaining
-        budget so the limit error fires after the same packet as in scalar
-        mode.
+        against *max_events*.
         """
         processed = 0
         times = self._times
         buckets = self._buckets
         arrive = self.arrival_handler
-        run_handler = self.run_handler if batch else None
         while times:
             time = times[0]
             if until is not None and time > until:
@@ -144,43 +120,12 @@ class Simulator:
                 # bucket is live are picked up in insertion order.
                 while i < len(events):
                     event = events[i]
+                    i += 1
+                    self._pending -= 1
+                    processed += 1
                     if type(event) is tuple:
-                        if run_handler is not None:
-                            # Collect the maximal run of consecutive
-                            # arrivals, clamped so the budget check below
-                            # trips at the exact same packet as scalar mode.
-                            j = i + 1
-                            end = i + (max_events - processed) + 1
-                            while (
-                                j < len(events)
-                                and j < end
-                                and type(events[j]) is tuple
-                            ):
-                                j += 1
-                            run = events[i:j]
-                            i = j
-                            self._pending -= len(run)
-                            processed += len(run)
-                            try:
-                                run_handler(run)
-                            except BaseException:
-                                # The handler trims consumed arrivals off
-                                # *run*; whatever is left goes back in
-                                # front of the bucket's remaining events.
-                                if run:
-                                    self._pending += len(run)
-                                    events[i:i] = run
-                                    i += len(run)  # keep [:i] = consumed
-                                raise
-                        else:
-                            i += 1
-                            self._pending -= 1
-                            processed += 1
-                            arrive(event[0], event[1], event[2])
+                        arrive(event[0], event[1], event[2])
                     else:
-                        i += 1
-                        self._pending -= 1
-                        processed += 1
                         event()
                     if processed > max_events:
                         raise SimulationLimitError(
@@ -209,17 +154,6 @@ class Network:
     (:mod:`repro.openflow.fastpath`) unless overridden per engine.  It does
     not change simulator semantics — both switch engines are observably
     identical — only the speed of the per-packet pipeline.
-
-    ``batch`` selects the batched drain mode: same-time arrival runs are
-    regrouped by switch and pushed through the batch pipeline
-    (:meth:`repro.openflow.switch.Switch.process_batch`) in one call.  Batch
-    mode is byte-identical to scalar mode — packets are still executed in
-    arrival order, one at a time, with per-packet counters, RNG draws, and
-    packet-id allocation in the exact scalar sequence; only dispatch and
-    lookup work is amortized.  Segments fall back to the scalar path
-    whenever a node has no batch handler, a segment is a single packet, or
-    a non-passive sink is attached (a controller channel that reprograms
-    switches synchronously).
     """
 
     def __init__(
@@ -227,27 +161,17 @@ class Network:
         topology: Topology,
         seed: int = 0,
         fast_path: bool = False,
-        batch: bool = False,
     ) -> None:
         self.topology = topology
         self.fast_path = fast_path
-        self.batch = batch
         self.links: list[Link] = [Link(edge) for edge in topology.edges()]
         self.sim = Simulator()
         self.sim.arrival_handler = self._arrive
-        self.sim.run_handler = self._arrive_run
         self.trace = Trace()
         self.rng = seeded_rng(seed)
         self._handlers: dict[int, Handler] = {}
-        self._batch_handlers: dict[int, BatchHandler] = {}
         self._controller_sink: ControllerSink | None = None
-        self._controller_passive = False
         self._delivery_sink: DeliverySink | None = None
-        self._delivery_passive = False
-        #: (node, port) -> (link, far_node, far_port, direction, detail) or
-        #: None for unwired ports; topology wiring is frozen at construction
-        #: so this cache never invalidates.  Batch emission only.
-        self._routes: dict[tuple[int, int], tuple | None] = {}
         #: Number of pipeline executions so far (one per packet arrival).
         #: This is the model checker's logical clock: scheduling state
         #: changes "after N packet steps" makes replays deterministic in a
@@ -260,34 +184,18 @@ class Network:
     # ------------------------------------------------------------------ #
 
     def set_handler(self, node: int, handler: Handler) -> None:
-        """Install *node*'s scalar pipeline; drops any stale batch handler
-        (an engine that supports batching re-registers it right after)."""
+        """Install *node*'s pipeline."""
         self._handlers[node] = handler
-        self._batch_handlers.pop(node, None)
-
-    def set_batch_handler(self, node: int, handler: BatchHandler) -> None:
-        """Install *node*'s batched pipeline (see :data:`BatchHandler`).
-
-        Must be observably equivalent to the node's scalar handler; the
-        scalar handler stays installed as the fallback and the reference
-        semantics.
-        """
-        self._batch_handlers[node] = handler
 
     def set_controller_sink(
         self, sink: ControllerSink | None, passive: bool = False
     ) -> None:
         """Install the packet-in sink.
 
-        ``passive=True`` declares the sink a pure collector (it appends the
-        upcall somewhere and never reprograms switches or re-enters the
-        simulator); only then may batched segments run while it is
-        attached.  A control channel is *not* passive — its handler chain
-        installs flow entries synchronously — so attaching one degrades
-        batch mode to the per-packet scalar path.
+        ``passive`` is accepted for callers written against older versions
+        and ignored: every sink is dispatched the same way.
         """
         self._controller_sink = sink
-        self._controller_passive = passive
 
     @property
     def controller_sink(self) -> ControllerSink | None:
@@ -298,15 +206,9 @@ class Network:
     def set_delivery_sink(
         self, sink: DeliverySink | None, passive: bool = False
     ) -> None:
-        """Install the local-delivery sink (``passive`` as for the
-        controller sink)."""
+        """Install the local-delivery sink (``passive`` is ignored, as for
+        :meth:`set_controller_sink`)."""
         self._delivery_sink = sink
-        self._delivery_passive = passive
-
-    def _sinks_passive(self) -> bool:
-        return (self._controller_sink is None or self._controller_passive) and (
-            self._delivery_sink is None or self._delivery_passive
-        )
 
     # ------------------------------------------------------------------ #
     # Link state                                                         #
@@ -435,180 +337,6 @@ class Network:
         for fn in self._step_hooks.pop(self.packet_steps, ()):
             fn()
 
-    def _arrive_run(self, run: list) -> None:
-        """Batched dispatch of one same-time run of arrival tuples.
-
-        The run is segmented into maximal same-node stretches.  A segment
-        goes through the node's batch handler when one is installed, the
-        segment has at least two packets, and the attached sinks are
-        passive; otherwise it falls back to per-packet :meth:`_arrive`.
-        Either way packets complete strictly in run order, so all
-        observable state (traces, counters, cursors, RNG draws, packet-id
-        allocation) advances in the scalar sequence.
-
-        On an error, the consumed prefix — including the packet whose
-        processing raised — is trimmed off *run* in place, so the simulator
-        can requeue the untouched tail exactly where it was.
-        """
-        watermark = 0  # arrivals consumed if an error surfaces now
-        try:
-            pos = 0
-            n = len(run)
-            while pos < n:
-                node = run[pos][0]
-                end = pos + 1
-                while end < n and run[end][0] == node:
-                    end += 1
-                handler = self._batch_handlers.get(node)
-                if handler is None or end - pos == 1 or not self._sinks_passive():
-                    while pos < end:
-                        event = run[pos]
-                        pos += 1
-                        watermark = pos
-                        self._arrive(node, event[1], event[2])
-                else:
-                    self._segment_watermark = pos + 1
-                    try:
-                        pos = self._run_segment(node, handler, run, pos, end)
-                    except BaseException:
-                        watermark = self._segment_watermark
-                        raise
-                    watermark = pos
-        except BaseException:
-            del run[:watermark]
-            raise
-
-    def _run_segment(
-        self, node: int, handler: BatchHandler, run: list, base: int, end: int
-    ) -> int:
-        """Feed arrivals ``run[base:end]`` through *node*'s batch handler.
-
-        Emission is fused into the deliver callback — raw ``(port, packet)``
-        tuples go straight onto the wire without materializing PacketOut
-        records — and step hooks fire between packets exactly as in
-        :meth:`_arrive`.  Returns *end*; the deliver closure keeps
-        ``self._segment_watermark`` current for error accounting (see
-        :meth:`_arrive_run`).
-        """
-        items = [(event[1], event[2]) for event in run[base:end]]
-        record = self.trace.record
-        emit = self._emit_batch
-        hooks = self._step_hooks
-        now = self.sim.now
-        pipeline_drop = EventKind.PIPELINE_DROP
-
-        def deliver(index: int, outputs: list) -> None:
-            if outputs:
-                for port, pkt in outputs:
-                    emit(node, port, pkt)
-            else:
-                record(
-                    TraceEvent(now, pipeline_drop, node, items[index][0].packet_id)
-                )
-            steps = self.packet_steps + 1
-            # repro: allow[SHARD001] owner's own drain loop: scalar-order step count
-            self.packet_steps = steps
-            fired = hooks.pop(steps, None)
-            if fired is not None:
-                for fn in fired:
-                    fn()
-            # Error accounting: a later failure is charged to the *next*
-            # packet (that is where it would surface in scalar mode).
-            # repro: allow[SHARD001] owner's own drain loop: error watermark
-            self._segment_watermark = min(base + index + 2, end)
-
-        self._segment_watermark = base + 1
-        handler(items, deliver)
-        return end
-
-    # Written by the deliver closure during a batched segment; read by
-    # _arrive_run's error path.  Plain attribute (no per-segment cell
-    # allocation on the hot path).
-    _segment_watermark = 0
-
-    def _emit_batch(self, node: int, port: int, packet: Packet) -> None:
-        """Batched twin of :meth:`_emit` (identical observable behavior).
-
-        Differences are mechanical only: the (node, port) -> far-end route
-        is cached (topology wiring is immutable), and the caller passes raw
-        tuples instead of PacketOut records.  Trace events, counter bumps,
-        RNG draw order, and scheduling are the scalar sequence exactly.
-        """
-        sim = self.sim
-        record = self.trace.record
-        if port == CONTROLLER_PORT:
-            record(TraceEvent(sim.now, EventKind.PACKET_IN, node, packet.packet_id))
-            if self._controller_sink is not None:
-                self._controller_sink(node, packet)
-            return
-        if port == LOCAL_PORT:
-            record(TraceEvent(sim.now, EventKind.DELIVERED, node, packet.packet_id))
-            if self._delivery_sink is not None:
-                self._delivery_sink(node, packet)
-            return
-        if port == NO_PORT or port < 1:
-            record(TraceEvent(sim.now, EventKind.DEAD_PORT, node, packet.packet_id))
-            return
-        key = (node, port)
-        route = self._routes.get(key, False)
-        if route is False:
-            edge = self.topology.port_edge(node, port)
-            if edge is None:
-                route = None
-            else:
-                link = self.links[edge.edge_id]
-                far = edge.other(node)
-                route = (
-                    link,
-                    far.node,
-                    far.port,
-                    link.direction_from(node),
-                    (node, port, far.node, far.port),
-                )
-            self._routes[key] = route
-        if route is None:
-            record(
-                TraceEvent(
-                    sim.now, EventKind.DEAD_PORT, node, packet.packet_id,
-                    (node, port),
-                )
-            )
-            return
-        link, far_node, far_port, direction, detail = route
-        if not link.up:
-            record(
-                TraceEvent(
-                    sim.now, EventKind.DEAD_PORT, node, packet.packet_id, detail
-                )
-            )
-            return
-        rng = self.rng
-        drop = link.drop_prob[direction]
-        if drop > 0.0 and (drop >= 1.0 or rng.random() < drop):
-            link.dropped[direction] += 1
-            record(
-                TraceEvent(sim.now, EventKind.DROP, node, packet.packet_id, detail)
-            )
-            return
-        link.delivered[direction] += 1
-        packet.hops += 1
-        record(TraceEvent(sim.now, EventKind.HOP, node, packet.packet_id, detail))
-        jitter = link.jitter
-        delay = link.delay if jitter <= 0.0 else link.delay + rng.random() * jitter
-        sim.schedule_arrival(delay, far_node, packet, far_port)
-        dup = link.dup_prob[direction]
-        if dup > 0.0 and rng.random() < dup:
-            twin = packet.copy()
-            link.delivered[direction] += 1
-            twin.hops += 1
-            record(
-                TraceEvent(sim.now, EventKind.HOP, node, twin.packet_id, detail)
-            )
-            delay = (
-                link.delay if jitter <= 0.0 else link.delay + rng.random() * jitter
-            )
-            sim.schedule_arrival(delay, far_node, twin, far_port)
-
     def _emit(self, node: int, port: int, packet: Packet, in_port: int) -> None:
         if port == CONTROLLER_PORT:
             self.trace.record(
@@ -698,4 +426,4 @@ class Network:
 
     def run(self, until: float | None = None, max_events: int = 2_000_000) -> int:
         """Drain the event queue (optionally up to simulated time *until*)."""
-        return self.sim.run(until=until, max_events=max_events, batch=self.batch)
+        return self.sim.run(until=until, max_events=max_events)

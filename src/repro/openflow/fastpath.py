@@ -60,11 +60,10 @@ from repro.openflow.actions import (
     PushLabel,
     SetField,
 )
-from repro.core.determinism import next_packet_id
 from repro.openflow.errors import GroupError, PipelineError, TableError
 from repro.openflow.flowtable import FlowEntry, FlowTable
 from repro.openflow.group import Group, GroupType
-from repro.openflow.packet import IN_PORT, Packet, PacketBatch
+from repro.openflow.packet import IN_PORT, Packet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (switch imports us)
     from repro.openflow.switch import PacketOut, Switch
@@ -76,38 +75,11 @@ OpFn = Callable[[Packet, EmitFn, int, frozenset], None]
 
 _EMPTY_ACTIVE: frozenset[int] = frozenset()
 
-#: Distinguishes "memoized as None (table miss)" from "not memoized yet".
-_MISS = object()
-
-
-def _fast_copy(packet: Packet) -> Packet:
-    """:meth:`Packet.copy` minus the dataclass-init overhead.
-
-    The batched emit path clones one packet per output action; going
-    through ``__new__`` skips the generated ``__init__`` and its default
-    factories.  The packet id is drawn from the same allocator in the same
-    order, so ids interleave exactly as on the scalar path.
-    """
-    clone = Packet.__new__(Packet)
-    clone.fields = dict(packet.fields)
-    clone.stack = list(packet.stack)
-    clone.payload = packet.payload
-    clone.packet_id = next_packet_id()
-    clone.hops = packet.hops
-    return clone
-
 
 class CompiledEntry:
     """One flow entry with its instructions pre-resolved to closures."""
 
-    __slots__ = (
-        "entry",
-        "sort_key",
-        "ops",
-        "goto",
-        "write_metadata",
-        "lookup_safe",
-    )
+    __slots__ = ("entry", "sort_key", "ops", "goto", "write_metadata")
 
     def __init__(
         self,
@@ -121,29 +93,6 @@ class CompiledEntry:
         self.ops = ops
         self.goto = entry.instructions.goto_table
         self.write_metadata = entry.instructions.write_metadata
-        # Whether executing this entry preserves lookup-key equality between
-        # any two packets that agreed on every (field, mask) slot beforehand.
-        # Constant set-fields write the same value to both, outputs and label
-        # pushes/pops never touch fields, and write_metadata is a constant
-        # function of the chain — so two key-equal packets stay key-equal at
-        # every later table.  DecTtl breaks this under masks (equal *masked*
-        # values can decrement to unequal ones), groups select buckets from
-        # dynamic state, and custom actions are opaque; any of those makes
-        # the entry unsafe as a non-final chain step (see the chain-replay
-        # memo in :meth:`FastPath.process_batch`).
-        safe = True
-        for action in entry.instructions.apply_actions:
-            kind = type(action)
-            if kind is SetField:
-                if action.value < 0:
-                    safe = False
-                    break
-            elif kind is not Output and kind is not PushLabel and (
-                kind is not PopLabel
-            ):
-                safe = False
-                break
-        self.lookup_safe = safe
 
 
 # --------------------------------------------------------------------- #
@@ -194,11 +143,6 @@ def _make_key_fn(signature: tuple[tuple[str, int | None], ...]) -> _GetFn:
     return key_fn
 
 
-def _const_key(f, ip, md):  # noqa: ARG001 - fixed extractor arity
-    """Chain key when no table consults any field: all packets share it."""
-    return 0
-
-
 def _entry_signature(entry: FlowEntry) -> tuple[tuple[str, int | None], ...]:
     """The sorted (field, mask) shape of an entry's match.
 
@@ -230,12 +174,11 @@ class FastTable:
     def __init__(
         self,
         table_id: int,
-        groups: list[tuple[_GetFn, dict, tuple]],
+        groups: list[tuple[_GetFn, dict]],
         residue: list[CompiledEntry],
     ) -> None:
         self.table_id = table_id
-        #: One (key_fn, buckets, signature) triple per distinct match
-        #: signature; the signature is kept for columnar key extraction.
+        #: One (key_fn, buckets) pair per distinct match signature.
         self.groups = groups
         #: Always-matching entries (empty signature), best first.
         self.residue = residue
@@ -249,7 +192,7 @@ class FastTable:
         caller bumps, so a pure lookup stays side-effect free for tests).
         """
         best: CompiledEntry | None = None
-        for key_fn, buckets, _signature in self.groups:
+        for key_fn, buckets in self.groups:
             candidates = buckets.get(key_fn(fields, in_port, metadata))
             if candidates is not None:
                 head = candidates[0]
@@ -260,98 +203,6 @@ class FastTable:
             if best is None or head.sort_key < best.sort_key:
                 best = head
         return best
-
-    def _resolve(self, combined_key) -> CompiledEntry | None:
-        """Probe with pre-extracted keys (one per signature group)."""
-        groups = self.groups
-        best: CompiledEntry | None = None
-        if len(groups) == 1:
-            candidates = groups[0][1].get(combined_key)
-            if candidates is not None:
-                best = candidates[0]
-        else:
-            for (_key_fn, buckets, _signature), key in zip(groups, combined_key):
-                candidates = buckets.get(key)
-                if candidates is not None:
-                    head = candidates[0]
-                    if best is None or head.sort_key < best.sort_key:
-                        best = head
-        if self.residue:
-            head = self.residue[0]
-            if best is None or head.sort_key < best.sort_key:
-                best = head
-        return best
-
-    def lookup_memo(
-        self, fields: dict, in_port: int, metadata: int, memo: dict
-    ) -> CompiledEntry | None:
-        """:meth:`lookup` through a per-batch memo of resolved keys.
-
-        Packets in a batch overwhelmingly share a handful of distinct keys
-        (the signature partition), so resolution runs once per distinct key
-        and every repeat is a dict hit.  Memo entries are keyed by this
-        FastTable *object*: any table mutation recompiles into a fresh
-        object, so stale hits are structurally impossible.
-        """
-        groups = self.groups
-        if not groups:
-            return self.residue[0] if self.residue else None
-        if len(groups) == 1:
-            combined = groups[0][0](fields, in_port, metadata)
-        else:
-            combined = tuple(
-                key_fn(fields, in_port, metadata)
-                for key_fn, _buckets, _signature in groups
-            )
-        key = (self, combined)
-        hit = memo.get(key, _MISS)
-        if hit is _MISS:
-            hit = self._resolve(combined)
-            memo[key] = hit
-        return hit
-
-    def lookup_batch(self, batch: PacketBatch, memo: dict) -> list:
-        """Resolve a whole batch at pipeline entry in one columnar pass.
-
-        One key-extraction sweep per signature group over the batch's field
-        columns, then one resolution per *distinct* combined key (shared
-        through *memo*, same keying as :meth:`lookup_memo`).  Only valid at
-        pipeline entry — metadata is 0 and the field columns snapshot
-        pre-action state — which is why goto-chain tables go through
-        :meth:`lookup_memo` instead.
-        """
-        groups = self.groups
-        n = len(batch.packets)
-        if not groups:
-            head = self.residue[0] if self.residue else None
-            return [head] * n
-        per_group: list[list] = []
-        for _key_fn, _buckets, signature in groups:
-            columns = []
-            for name, mask in signature:
-                column = batch.column(name)
-                if mask is not None:
-                    column = [value & mask for value in column]
-                columns.append(column)
-            if len(columns) == 1:
-                per_group.append(columns[0])
-            else:
-                per_group.append(list(zip(*columns)))
-        if len(per_group) == 1:
-            combined = per_group[0]
-        else:
-            combined = list(zip(*per_group))
-        resolved = []
-        append = resolved.append
-        get = memo.get
-        for key_values in combined:
-            key = (self, key_values)
-            hit = get(key, _MISS)
-            if hit is _MISS:
-                hit = self._resolve(key_values)
-                memo[key] = hit
-            append(hit)
-        return resolved
 
 
 def compile_table(
@@ -375,11 +226,11 @@ def compile_table(
         buckets = by_signature.setdefault(signature, {})
         buckets.setdefault(_entry_key(entry, signature), []).append(compiled)
 
-    groups: list[tuple[_GetFn, dict, tuple]] = []
+    groups: list[tuple[_GetFn, dict]] = []
     for signature, buckets in by_signature.items():
         for candidates in buckets.values():
             candidates.sort(key=lambda c: c.sort_key)
-        groups.append((_make_key_fn(signature), buckets, signature))
+        groups.append((_make_key_fn(signature), buckets))
     residue.sort(key=lambda c: c.sort_key)
     return FastTable(table.table_id, groups, residue)
 
@@ -432,12 +283,6 @@ class FastPath:
         #: group_id -> compiled program (valid for _groups_version)
         self._programs: dict[int, _GroupProgram] = {}
         self._groups_version = switch.groups.version
-        #: (generation, key_fn) for the batch chain-replay memo (see
-        #: :meth:`_chain_key_fn`); recomputed whenever the generation moves.
-        self._chain_key_cache: tuple[int, _GetFn] | None = None
-        #: Bumped by :meth:`invalidate` so in-place edits (which bump no
-        #: table/group version) still advance the batch generation counter.
-        self._epoch = 0
 
     # -- cache management ------------------------------------------------ #
 
@@ -451,8 +296,6 @@ class FastPath:
         self._tables.clear()
         self._programs.clear()
         self._groups_version = self._switch.groups.version
-        self._chain_key_cache = None
-        self._epoch += 1
 
     def warm(self) -> None:
         """Eagerly compile every table and group program.
@@ -660,114 +503,6 @@ class FastPath:
             return
         raise GroupError(f"unsupported group type {kind}")  # pragma: no cover
 
-    # -- batch chain replay ------------------------------------------------ #
-
-    def _chain_key_fn(self, generation: int) -> _GetFn:
-        """The union key extractor for the batch chain-replay memo.
-
-        Covers every ``(field, mask)`` slot any table of this switch
-        consults (``metadata`` excluded — it starts at 0 and evolves as a
-        constant function of the chain, so key-equal packets always agree
-        on it).  Two packets with equal union keys and equal in-ports read
-        identical values at *every* lookup a chain can perform, so — as
-        long as every non-final step is :attr:`CompiledEntry.lookup_safe` —
-        they traverse identical entry chains.  Cached per generation.
-        """
-        cached = self._chain_key_cache
-        if cached is not None and cached[0] == generation:
-            return cached[1]
-        slots: set[tuple[str, int | None]] = set()
-        for table_id in list(self._switch.tables):
-            fast = self._fast_table(table_id)
-            for _key_fn, _buckets, signature in fast.groups:
-                for name, mask in signature:
-                    if name != "metadata":
-                        slots.add((name, mask))
-        if slots:
-            union = tuple(
-                sorted(slots, key=lambda s: (s[0], -1 if s[1] is None else s[1]))
-            )
-            key_fn = _make_key_fn(union)
-        else:
-            key_fn = _const_key
-        self._chain_key_cache = (generation, key_fn)
-        return key_fn
-
-    def _group_single_emit(self, group_id: int) -> bool:
-        """Whether executing *group_id* emits at most once, as its last act.
-
-        True for INDIRECT / FF / SELECT groups where every bucket either
-        emits nothing (an empty drop bucket — FF terminals use these) or
-        ends in exactly one ``Output`` preceded only by field/stack edits —
-        the shapes every paper service compiles to.  ALL groups clone per
-        bucket and custom actions may emit arbitrarily, so both disqualify;
-        so does anything *after* an ``Output``, since the scalar path
-        snapshots the packet at emission and an owned emission would not.
-        """
-        table = self._switch.groups
-        if group_id not in table:
-            return False
-        group = table.get(group_id)
-        if group.group_type is GroupType.ALL:
-            return False
-        for bucket in group.buckets:
-            actions = bucket.actions
-            final = len(actions) - 1
-            for position, action in enumerate(actions):
-                kind = type(action)
-                if kind is Output:
-                    if position != final:
-                        return False
-                elif kind is SetField:
-                    if action.value < 0:
-                        return False
-                elif kind is not PushLabel and kind is not PopLabel and (
-                    kind is not DecTtl
-                ):
-                    return False
-        return True
-
-    def _chain_elidable(self, steps: list[CompiledEntry]) -> bool:
-        """Whether a recorded chain's only emission is its very last op.
-
-        When true, replay may hand the *input* packet to that op instead of
-        cloning it (`emit_owned`): the packet dies after its pipeline run,
-        every observer snapshots state by value, and the fresh packet id is
-        drawn at the same allocator position the clone would have drawn —
-        so the elision is invisible to every observable.
-        """
-        emitter: tuple[int, int, int | None] | None = None
-        for step_index, compiled in enumerate(steps):
-            for action_index, action in enumerate(
-                compiled.entry.instructions.apply_actions
-            ):
-                kind = type(action)
-                if kind is SetField:
-                    if action.value < 0:
-                        return False
-                elif kind is PushLabel or kind is PopLabel or kind is DecTtl:
-                    continue
-                elif kind is Output:
-                    if emitter is not None:
-                        return False
-                    emitter = (step_index, action_index, None)
-                elif kind is GroupAction:
-                    if emitter is not None:
-                        return False
-                    emitter = (step_index, action_index, action.group_id)
-                else:
-                    return False
-        if emitter is None:
-            return False
-        step_index, action_index, group_id = emitter
-        last = len(steps) - 1
-        actions = steps[last].entry.instructions.apply_actions
-        if step_index != last or action_index != len(actions) - 1:
-            return False
-        if group_id is None:
-            return True
-        return self._group_single_emit(group_id)
-
     # -- the hot loop ------------------------------------------------------ #
 
     def process(self, packet: Packet, in_port: int) -> "list[PacketOut]":
@@ -824,195 +559,3 @@ class FastPath:
                     f"({table_id} -> {goto})"
                 )
             table_id = goto
-
-    def process_batch(self, items: list, deliver) -> None:
-        """Run a batch of ``(packet, in_port)`` arrivals through the pipeline.
-
-        Calls ``deliver(index, outputs)`` once per item, in item order, with
-        outputs as raw ``(port, packet)`` tuples.  Execution is strictly
-        *packet-major*: item *i*'s whole pipeline runs — and is delivered —
-        before item *i+1* starts, so counter bumps, SELECT cursor advances,
-        FF liveness reads, packet-id allocation and error timing all happen
-        in the exact scalar sequence.  What the batch amortizes:
-
-        * **chain replay** — the first packet of each distinct *union key*
-          (every (field, mask) slot any table consults, extracted once per
-          packet) records its full entry chain; every later key-equal
-          packet replays the recorded ops with zero table lookups.  A chain
-          records only while every non-final step is
-          :attr:`CompiledEntry.lookup_safe`; otherwise that key is pinned
-          to the per-lookup path.
-        * **copy elision** — when a recorded chain's only emission is its
-          final op (:meth:`_chain_elidable`), replay hands the input packet
-          itself to that op: the packet dies after its run, and the fresh
-          id is drawn at the same allocator position the clone's would be.
-        * goto-chain lookups of non-replayed packets share a per-batch memo
-          of resolved keys, and the first chain rejection triggers one
-          columnar entry-table pass (:meth:`FastTable.lookup_batch`) for
-          the rest of the batch.
-
-        Divergence safety: a *generation* counter — table count plus every
-        table/group version plus the invalidation epoch — is checked per
-        packet.  Any mutation (a step hook between deliveries, a custom
-        action, a non-passive sink) moves it, which drops every recorded
-        chain and pre-resolved entry; the memo itself is keyed by
-        compiled-table object, so recompiles strand stale keys.  From that
-        point the batch re-looks-up per packet, never served stale.
-        """
-        switch = self._switch
-        node_id = switch.node_id
-        max_steps = switch.MAX_PIPELINE_STEPS
-        fast_table = self._fast_table
-        self._check_groups()
-        memo: dict = {}
-        chain_memo: dict = {}
-        tables = switch.tables
-        table_views = tables.values()
-        groups = switch.groups
-        outputs: list = []
-        append = outputs.append
-        in_port = 0
-
-        def generation() -> int:
-            # Strictly monotonic under mutation: versions and the epoch
-            # only grow, and tables are never deleted.
-            total = self._epoch + len(tables) + groups._version
-            for table in table_views:
-                total += table._version
-            return total
-
-        def emit(port: int, pkt: Packet, _copy=_fast_copy) -> None:
-            append((in_port if port == IN_PORT else port, _copy(pkt)))
-
-        def emit_owned(port: int, pkt: Packet, _next=next_packet_id) -> None:
-            # Final-emission copy elision: the input packet is emitted
-            # directly, drawing its fresh id exactly where the clone's
-            # would have been drawn.
-            pkt.packet_id = _next()
-            append((in_port if port == IN_PORT else port, pkt))
-
-        gen = generation()
-        chain_key = self._chain_key_fn(gen)
-        fast0 = fast_table(0)
-        entries0: list | None = None
-        empty_active = _EMPTY_ACTIVE
-        for index, (packet, arrival_port) in enumerate(items):
-            in_port = arrival_port
-            fields = packet.fields
-            gen_now = self._epoch + len(tables) + groups._version
-            for table in table_views:
-                gen_now += table._version
-            if gen_now == gen:
-                ckey = chain_key(fields, arrival_port, 0)
-                chain = chain_memo.get(ckey, _MISS)
-                if chain is not None and chain is not _MISS:
-                    # Replay: (head steps, elided tail or None, missed).
-                    head_steps, tail, missed = chain
-                    switch.packets_processed += 1
-                    for compiled in head_steps:
-                        compiled.entry.packet_count += 1
-                        for op in compiled.ops:
-                            op(packet, emit, in_port, empty_active)
-                    if tail is not None:
-                        entry, tail_ops, final_op = tail
-                        entry.packet_count += 1
-                        for op in tail_ops:
-                            op(packet, emit, in_port, empty_active)
-                        final_op(packet, emit_owned, in_port, empty_active)
-                    if missed:
-                        switch.table_misses += 1
-                    deliver(index, outputs)
-                    outputs.clear()
-                    continue
-                record: list | None = [] if chain is _MISS else None
-            else:
-                # Mid-batch mutation: recompile the world, drop every
-                # recorded chain and pre-resolved entry, rebase the
-                # generation, and record afresh under the new key fn.
-                self._check_groups()
-                chain_memo.clear()
-                gen = generation()
-                chain_key = self._chain_key_fn(gen)
-                fast0 = fast_table(0)
-                entries0 = None
-                ckey = chain_key(fields, arrival_port, 0)
-                record = []
-            switch.packets_processed += 1
-            metadata = 0
-            table_id = 0
-            steps = 0
-            missed = False
-            if entries0 is not None:
-                compiled = entries0[index]
-                resolved = True
-            else:
-                compiled = None
-                resolved = False
-            while True:
-                steps += 1
-                if steps > max_steps:
-                    raise PipelineError(
-                        f"switch {node_id}: pipeline exceeded "
-                        f"{max_steps} steps (rule loop?)"
-                    )
-                if not resolved:
-                    fast = fast_table(table_id)
-                    if fast is None:
-                        if table_id == 0 and not tables:
-                            # Bare switch: table miss (see Switch.process).
-                            switch.table_misses += 1
-                            missed = True
-                            break
-                        raise TableError(
-                            f"switch {node_id}: goto to missing table {table_id}"
-                        )
-                    compiled = fast.lookup_memo(fields, in_port, metadata, memo)
-                resolved = False
-                if compiled is None:
-                    switch.table_misses += 1
-                    missed = True
-                    break
-                compiled.entry.packet_count += 1
-                write_metadata = compiled.write_metadata
-                if write_metadata is not None:
-                    value, mask = write_metadata
-                    metadata = (metadata & ~mask) | (value & mask)
-                for op in compiled.ops:
-                    op(packet, emit, in_port, empty_active)
-                if record is not None:
-                    record.append(compiled)
-                goto = compiled.goto
-                if goto is None:
-                    break
-                if goto <= table_id:
-                    raise PipelineError(
-                        f"switch {node_id}: goto_table must move forward "
-                        f"({table_id} -> {goto})"
-                    )
-                if record is not None and not compiled.lookup_safe:
-                    # This step may desynchronize later lookups between
-                    # key-equal packets — pin the key to the lookup path,
-                    # and amortize it with one columnar entry-table pass.
-                    record = None
-                    chain_memo[ckey] = None
-                    if entries0 is None and fast0 is not None:
-                        entries0 = fast0.lookup_batch(
-                            PacketBatch.pack(items), memo
-                        )
-                table_id = goto
-            if record is not None:
-                # Pre-split at record time so replay never slices: the tail
-                # triple carries the elided final step (entry, leading ops,
-                # final op to run with emit_owned), or None when the chain
-                # is not elidable and the head holds every step.
-                if self._chain_elidable(record):
-                    last = record[-1]
-                    chain_memo[ckey] = (
-                        tuple(record[:-1]),
-                        (last.entry, last.ops[:-1], last.ops[-1]),
-                        missed,
-                    )
-                else:
-                    chain_memo[ckey] = (tuple(record), None, missed)
-            deliver(index, outputs)
-            outputs.clear()

@@ -147,7 +147,7 @@ class FlowTable:
         entry, oldest first — and must sit strictly below the incoming
         priority.  Both the scan order and the tie-break are deterministic,
         so identical install sequences produce identical tables bit for bit
-        (the Hypothesis suite pins this across fast-path/batch modes).
+        (the Hypothesis suite pins this across both switch engines).
         """
         assert self._capacity is not None
         victim: FlowEntry | None = None

@@ -216,10 +216,8 @@ class Switch:
         Flow tables, the group table (including SELECT cursors and FF
         bucket counters) and every compiled fast-path artifact are lost;
         the controller must re-adopt the switch before it forwards
-        anything again (a bare switch table-misses every packet).  The
-        fast-path invalidation bumps the compiled engine's epoch, so the
-        batched drain's generation counter can never confuse pre- and
-        post-reboot programs.  No-op unless the switch is down.
+        anything again (a bare switch table-misses every packet).  No-op
+        unless the switch is down.
         """
         if not self._down:
             return
@@ -369,28 +367,6 @@ class Switch:
                     f"({table_id} -> {instructions.goto_table})"
                 )
             table_id = instructions.goto_table
-
-    def process_batch(self, items: list, deliver) -> None:
-        """Run a batch of ``(packet, in_port)`` arrivals through the pipeline.
-
-        ``deliver(index, outputs)`` is called once per item, in item order,
-        with outputs as raw ``(port, packet)`` tuples (the batch protocol
-        skips PacketOut records; outputs lists must not be retained by the
-        callback).  Observably identical to calling :meth:`process` once
-        per item: with the fast path enabled the compiled engine amortizes
-        lookups across the batch, otherwise this is a plain per-packet
-        loop over the interpreter.
-        """
-        if self._down:
-            for index in range(len(items)):
-                deliver(index, [])
-            return
-        if self._fast_path is not None:
-            self._fast_path.process_batch(items, deliver)
-            return
-        for index, (packet, in_port) in enumerate(items):
-            outputs = self.process(packet, in_port)
-            deliver(index, [(out.port, out.packet) for out in outputs])
 
     @staticmethod
     def _context(

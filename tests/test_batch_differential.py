@@ -1,24 +1,31 @@
-"""Differential conformance: batched drain mode ≡ scalar drain mode.
+"""Differential conformance: a scenario rerun in a batch ≡ its first run.
 
-The batched engine's acceptance check, mirroring
-``test_fastpath_differential``: every scenario of the full service matrix —
-snapshot / anycast / priocast / blackhole × the chaos topologies × seeded
-fault profiles — runs once through the scalar event loop (one arrival per
-handler call, the reference semantics) and once through the batched loop
-(same-time same-node arrivals grouped into one ``process_batch`` call), and
-every observable must be *byte-identical*: the full event trace, every
-report and delivery, message accounting, and the complete per-entry /
-per-group / per-bucket counter state including SELECT round-robin cursors.
+Chaos campaigns, the golden corpus and the double-run gate all run many
+scenarios back to back in one process, as one batch of runs.  Their
+byte-identity claims hold only if no run leaks state into the next: a
+module-level cache, a shared counter, a packet-id allocator or an RNG
+stream that one run advances and the next one inherits.  The sanitizer's
+``DET``/``RACE`` rules flag such patterns statically; this suite checks
+the outcome dynamically.
 
-The plain matrix mostly produces single-packet waves (batches of one); the
-high-fan-out storm scenarios (:data:`repro.net.scenario.FANOUT_SCENARIOS`)
-inject 8–16 simultaneous triggers so real multi-packet batches form, which
-is where grouping, memoized lookups, and batch splitting actually execute.
+Every scenario of the full service matrix — snapshot / anycast / priocast
+/ blackhole × the chaos topologies × seeded fault profiles — runs twice in
+a row in one process.  The second run starts from everything the first
+left behind (warm compile caches, advanced allocators, fast-path indexes),
+and every observable must be *byte-identical* to the first: the full event
+trace, every report and delivery, message accounting, and the complete
+per-entry / per-group / per-bucket counter state including SELECT
+round-robin cursors.
+
+The high-fan-out storm scenarios (:data:`repro.net.scenario.FANOUT_SCENARIOS`)
+inject 8–16 simultaneous triggers, so same-time arrivals at one node
+interleave in one bucket of the event queue; they are rerun too.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -35,13 +42,13 @@ MATRIX = [
     for seed in SEEDS
 ]
 
-#: Storm scenarios run through both drain modes too — these are the runs
-#: where batches are actually larger than one packet.
+#: Storm scenarios are rerun as well — the runs in which several packets
+#: share one event-queue bucket at one node.
 STORM_MATRIX = list(FANOUT_SCENARIOS)
 
-#: A small interpreted-pipeline slice: batching is a property of the event
-#: loop and the Switch.process_batch protocol, not of the fast path, so the
-#: interpreted per-entry scan must batch identically as well.
+#: A small interpreted-pipeline slice: run-to-run reproducibility is a
+#: property of the whole stack, not of the fast path, so the interpreted
+#: per-entry scan must rerun identically as well.
 INTERPRETED_MATRIX = [
     ("snapshot-storm", "torus3x3", "lossy", 11),
     ("priocast-storm", "torus3x3", "lossy", 42),
@@ -49,40 +56,36 @@ INTERPRETED_MATRIX = [
 ]
 
 
-def _first_divergence(scalar: dict, batched: dict) -> str:
+def _first_divergence(first: dict, rerun: dict) -> str:
     """A readable pointer at the first differing observable."""
-    for key in scalar:
-        if scalar[key] == batched[key]:
+    for key in first:
+        if first[key] == rerun[key]:
             continue
         if key == "trace":
-            scalar_lines = scalar[key].splitlines()
-            batched_lines = batched[key].splitlines()
-            for i, (a, b) in enumerate(zip(scalar_lines, batched_lines)):
+            first_lines = first[key].splitlines()
+            rerun_lines = rerun[key].splitlines()
+            for i, (a, b) in enumerate(zip(first_lines, rerun_lines)):
                 if a != b:
-                    return f"trace line {i}:\n  scalar:  {a}\n  batched: {b}"
+                    return f"trace line {i}:\n  first: {a}\n  rerun: {b}"
             return (
-                f"trace length: scalar={len(scalar_lines)} "
-                f"batched={len(batched_lines)}"
+                f"trace length: first={len(first_lines)} "
+                f"rerun={len(rerun_lines)}"
             )
         return (
-            f"{key}:\n  scalar:  {json.dumps(scalar[key])[:500]}\n"
-            f"  batched: {json.dumps(batched[key])[:500]}"
+            f"{key}:\n  first: {json.dumps(first[key])[:500]}\n"
+            f"  rerun: {json.dumps(rerun[key])[:500]}"
         )
     return "no divergence"
 
 
-def _assert_modes_identical(service, topology, profile, seed, fast_path):
-    scalar = run_scenario(
-        service, topology, profile, seed, fast_path=fast_path, batch=False
-    )
-    batched = run_scenario(
-        service, topology, profile, seed, fast_path=fast_path, batch=True
-    )
-    assert scalar == batched, _first_divergence(scalar, batched)
+def _assert_rerun_identical(service, topology, profile, seed, fast_path):
+    first = run_scenario(service, topology, profile, seed, fast_path=fast_path)
+    rerun = run_scenario(service, topology, profile, seed, fast_path=fast_path)
+    assert first == rerun, _first_divergence(first, rerun)
     # Byte-identical, not merely equal: the JSON encodings must match too
-    # (the golden corpus pins this format, in both modes).
-    assert json.dumps(scalar, sort_keys=True) == json.dumps(
-        batched, sort_keys=True
+    # (the golden corpus pins this format).
+    assert json.dumps(first, sort_keys=True) == json.dumps(
+        rerun, sort_keys=True
     )
 
 
@@ -92,7 +95,7 @@ def _assert_modes_identical(service, topology, profile, seed, fast_path):
     ids=[f"{s}-{t}-{p}-s{seed}" for s, t, p, seed in MATRIX],
 )
 def test_batch_byte_identical(service, topology, profile, seed):
-    _assert_modes_identical(service, topology, profile, seed, fast_path=True)
+    _assert_rerun_identical(service, topology, profile, seed, fast_path=True)
 
 
 @pytest.mark.parametrize(
@@ -101,7 +104,7 @@ def test_batch_byte_identical(service, topology, profile, seed):
     ids=[f"{s}-{t}-{p}-s{seed}" for s, t, p, seed in STORM_MATRIX],
 )
 def test_storm_batch_byte_identical(service, topology, profile, seed):
-    _assert_modes_identical(service, topology, profile, seed, fast_path=True)
+    _assert_rerun_identical(service, topology, profile, seed, fast_path=True)
 
 
 @pytest.mark.parametrize(
@@ -110,11 +113,11 @@ def test_storm_batch_byte_identical(service, topology, profile, seed):
     ids=[f"{s}-{t}-{p}-s{seed}" for s, t, p, seed in INTERPRETED_MATRIX],
 )
 def test_interpreted_batch_byte_identical(service, topology, profile, seed):
-    _assert_modes_identical(service, topology, profile, seed, fast_path=False)
+    _assert_rerun_identical(service, topology, profile, seed, fast_path=False)
 
 
 def test_matrix_covers_all_services_and_faults():
-    """The matrix really spans the ISSUE's grid (guards against silent
+    """The matrix really spans the full grid (guards against silent
     shrinkage when chaos profiles or topologies are renamed)."""
     services = {m[0] for m in MATRIX}
     topologies = {m[1] for m in MATRIX}
@@ -134,44 +137,44 @@ def test_storm_matrix_covers_fanout_services():
     services = {m[0] for m in STORM_MATRIX}
     assert services == {"snapshot-storm", "anycast-storm", "priocast-storm"}
     for service, topology, profile, seed in STORM_MATRIX:
-        observed = run_scenario(
-            service, topology, profile, seed, fast_path=True, batch=True
-        )
+        observed = run_scenario(service, topology, profile, seed, fast_path=True)
         assert observed["error"] is None
         (aggregate,) = observed["results"]
         assert len(aggregate["roots"]) >= 8
 
 
 def test_storms_produce_multi_packet_batches():
-    """The whole point of the storm corpus: batched runs must actually see
-    batches larger than one packet, or the differential suite is vacuous."""
+    """The point of the storm corpus: several packets must reach one node
+    at one simulated instant, so they share an event-queue bucket and
+    their order within it is exercised — or the storm reruns are no
+    stronger than the single-trigger ones."""
+    from repro.core.determinism import seeded_rng
     from repro.core.engine import make_engine
     from repro.net.chaos import _plan_faults
     from repro.net.scenario import _PLAN_SALT, _build_storm
     from repro.net.simulator import Network
-    from repro.core.determinism import seeded_rng
     from repro.openflow.packet import reset_packet_ids
 
     service_name, topology_name, profile_name, seed = STORM_MATRIX[0]
     reset_packet_ids()
     topology = TOPOLOGIES[topology_name]()
-    network = Network(topology, seed=seed, fast_path=True, batch=True)
+    network = Network(topology, seed=seed, fast_path=True)
     plan_rng = seeded_rng(seed ^ _PLAN_SALT)
     root = plan_rng.randrange(topology.num_nodes)
     _plan_faults(
         network, PROFILES[profile_name], service_name, root, plan_rng, None
     )
     service, triggers = _build_storm(service_name, topology, root, plan_rng)
-    engine = make_engine(network, service, "compiled", fast_path=True, batch=True)
+    engine = make_engine(network, service, "compiled", fast_path=True)
 
-    batch_sizes = []
-    original = network._run_segment
+    arrivals = Counter()
+    original = network.sim.arrival_handler
 
-    def spy(node, handler, run, base, end):
-        batch_sizes.append(end - base)
-        return original(node, handler, run, base, end)
+    def spy(node, packet, in_port):
+        arrivals[(network.sim.now, node)] += 1
+        return original(node, packet, in_port)
 
-    network._run_segment = spy
+    network.sim.arrival_handler = spy
     for trigger_root, fields, from_controller in triggers:
         engine.trigger(
             trigger_root,
@@ -180,7 +183,8 @@ def test_storms_produce_multi_packet_batches():
             run=False,
         )
     network.run()
-    assert batch_sizes, "batched run never reached the segment runner"
-    assert max(batch_sizes) >= 2, (
-        f"storm produced only single-packet segments: {batch_sizes[:20]}"
+    assert arrivals, "the storm never reached the arrival handler"
+    assert max(arrivals.values()) >= 2, (
+        f"storm produced only single-packet instants: "
+        f"{sorted(arrivals.items())[:20]}"
     )

@@ -1,26 +1,29 @@
-"""Property-based fuzz: batched pipeline execution ≡ per-packet execution.
+"""Property-based fuzz: a burst of arrivals on the fast path ≡ the scan.
 
-Random packet populations run through random multi-table pipelines on twin
-switches — one processed packet by packet (the reference), one through
-:meth:`Switch.process_batch` — and every observable must agree: emitted
-(port, fields, packet id) triples per input packet, entry counters, group
-counters, and SELECT round-robin cursors.
+Random packet populations — bursts of back-to-back arrivals at one switch
+— run through random multi-table pipelines on twin switches: one with the
+interpreted linear scan (the reference), one with the compiled fast path.
+Every observable must agree: emitted (port, fields, packet id) triples per
+input packet, entry counters, group counters, and SELECT round-robin
+cursors.
 
-Beyond plain equivalence, the suite drives the batch engine's split
-machinery on purpose:
+The fast path keeps compiled indexes and per-group state across the
+packets of a burst, so beyond plain equivalence the suite changes the
+switch *between* two packets of one burst on purpose:
 
-* **SELECT interleaving** — several packets of one batch traverse one
+* **SELECT interleaving** — several packets of one burst traverse one
   shared SELECT group, so the round-robin cursor must advance in exact
-  packet order across the batch.
-* **FF failover mid-batch** — the deliver callback flips a watched port
-  dead after packet *k*, so packets ``k+1..`` of the *same batch* must take
-  the backup bucket (liveness is consulted per packet, never cached per
-  batch).
-* **Table mutation mid-batch** — the deliver callback installs a
-  higher-priority entry after packet *k*, so the batch's pre-resolved
-  table-0 lookups and memo entries must be abandoned for packets ``k+1..``
-  (the compiled index recompiles into a fresh object; stale memo keys die
-  with the old one).
+  packet order.
+* **FF failover mid-burst** — a watched port goes dead after packet *k*,
+  so packets ``k+1..`` must take the backup bucket (liveness is consulted
+  per packet, never cached).
+* **Table mutation mid-burst** — a higher-priority entry is installed
+  after packet *k*, in table 0 or a later table, so every compiled lookup
+  made before the install must be abandoned for packets ``k+1..``.
+* **Engine switch mid-burst** — one switch alternates between the fast
+  path and the interpreted scan packet by packet; both engines read and
+  advance the same counters and cursors, so the burst must match a
+  scan-only run.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ def rule_sets(draw, with_groups: bool = False):
 
 @st.composite
 def populations(draw):
-    """A batch of arrivals: (fields, in_port) pairs."""
+    """A burst of arrivals: (fields, in_port) pairs."""
     return draw(
         st.lists(
             st.tuples(
@@ -155,15 +158,16 @@ def _counters(switch: Switch):
 
 def _make_items(population):
     """All input packets are constructed before any is processed — the
-    event queue holds fully-built packets in both drain modes, so packet-id
-    allocation bases match and emitted-copy ids are comparable."""
+    event queue holds fully-built packets — so both twins start from the
+    same packet-id base and emitted-copy ids are comparable."""
     reset_packet_ids()
     return [
         (Packet(fields=dict(fields)), in_port) for fields, in_port in population
     ]
 
 
-def _run_scalar(switch, population, between=None):
+def _run_burst(switch, population, between=None):
+    """Process the burst packet by packet; *between* runs after each one."""
     items = _make_items(population)
     results = []
     for index, (packet, in_port) in enumerate(items):
@@ -174,52 +178,59 @@ def _run_scalar(switch, population, between=None):
     return results
 
 
-def _run_batched(switch, population, between=None):
-    items = _make_items(population)
-    results = [None] * len(items)
-
-    def deliver(index, outputs):
-        results[index] = [_signature(port, pkt) for port, pkt in outputs]
-        if between is not None:
-            between(switch, index)
-
-    switch.process_batch(items, deliver)
-    return results
+def _assert_engines_agree(reference, fast, population, between=None):
+    assert _run_burst(reference, population, between) == _run_burst(
+        fast, population, between
+    )
+    assert _counters(reference) == _counters(fast)
 
 
 @settings(max_examples=200, deadline=None)
 @given(rule_sets(), populations())
 def test_batch_pipeline_equivalence(rules, population):
-    scalar = _build_switch(rules, fast_path=True)
-    batched = _build_switch(rules, fast_path=True)
-    assert _run_scalar(scalar, population) == _run_batched(batched, population)
-    assert _counters(scalar) == _counters(batched)
+    _assert_engines_agree(
+        _build_switch(rules, fast_path=False),
+        _build_switch(rules, fast_path=True),
+        population,
+    )
 
 
 @settings(max_examples=100, deadline=None)
-@given(rule_sets(), populations())
+@given(rule_sets(with_groups=True), populations())
 def test_interpreted_batch_equivalence(rules, population):
-    """process_batch must honour the same contract with the fast path off."""
-    scalar = _build_switch(rules, fast_path=False)
-    batched = _build_switch(rules, fast_path=False)
-    assert _run_scalar(scalar, population) == _run_batched(batched, population)
-    assert _counters(scalar) == _counters(batched)
+    """Toggling the engine between packets of one burst changes nothing:
+    the fast path and the interpreted scan share every counter and cursor
+    of the switch they run on."""
+
+    def toggle(switch, index):
+        if index % 2:
+            switch.disable_fast_path()
+        else:
+            switch.enable_fast_path()
+
+    reference = _build_switch(rules, fast_path=False, groups=True)
+    toggled = _build_switch(rules, fast_path=False, groups=True)
+    assert _run_burst(reference, population) == _run_burst(
+        toggled, population, between=toggle
+    )
+    assert _counters(reference) == _counters(toggled)
 
 
 @settings(max_examples=200, deadline=None)
 @given(rule_sets(with_groups=True), populations())
 def test_batch_group_equivalence(rules, population):
     """SELECT cursors, FF liveness, ALL fan-out: group state advances in
-    exact packet order whether the packets share a batch or not."""
-    scalar = _build_switch(rules, fast_path=True, groups=True)
-    batched = _build_switch(rules, fast_path=True, groups=True)
-    assert _run_scalar(scalar, population) == _run_batched(batched, population)
-    assert _counters(scalar) == _counters(batched)
+    exact packet order on both engines."""
+    _assert_engines_agree(
+        _build_switch(rules, fast_path=False, groups=True),
+        _build_switch(rules, fast_path=True, groups=True),
+        population,
+    )
 
 
 def _group_rules():
     """A fixed table-0 program sending every packet through FF group 2 and
-    SELECT group 1 (deterministic scaffolding for the mid-batch tests)."""
+    SELECT group 1 (deterministic scaffolding for the mid-burst tests)."""
     return [
         (
             0,
@@ -233,8 +244,8 @@ def _group_rules():
 @settings(max_examples=100, deadline=None)
 @given(populations(), st.integers(0, 9), st.sampled_from([1, 2]))
 def test_ff_failover_flips_mid_batch(population, flip_after, dead_port):
-    """Killing a watched port from inside the deliver callback must reroute
-    the *rest of the same batch* through the backup bucket."""
+    """Killing a watched port between two packets must reroute the *rest of
+    the same burst* through the backup bucket."""
 
     def make_liveness(state):
         return lambda port: state.get(port, True)
@@ -246,24 +257,24 @@ def test_ff_failover_flips_mid_batch(population, flip_after, dead_port):
 
         return between
 
-    scalar_state, batched_state = {}, {}
-    scalar = _build_switch(_group_rules(), fast_path=True, groups=True)
-    scalar.set_liveness(make_liveness(scalar_state))
-    batched = _build_switch(_group_rules(), fast_path=True, groups=True)
-    batched.set_liveness(make_liveness(batched_state))
+    reference_state, fast_state = {}, {}
+    reference = _build_switch(_group_rules(), fast_path=False, groups=True)
+    reference.set_liveness(make_liveness(reference_state))
+    fast = _build_switch(_group_rules(), fast_path=True, groups=True)
+    fast.set_liveness(make_liveness(fast_state))
 
-    assert _run_scalar(
-        scalar, population, between=make_between(scalar_state)
-    ) == _run_batched(batched, population, between=make_between(batched_state))
-    assert _counters(scalar) == _counters(batched)
+    assert _run_burst(
+        reference, population, between=make_between(reference_state)
+    ) == _run_burst(fast, population, between=make_between(fast_state))
+    assert _counters(reference) == _counters(fast)
 
 
 @settings(max_examples=100, deadline=None)
 @given(populations(), st.integers(0, 9), VALUES)
 def test_table_mutation_mid_batch(population, install_after, set_value):
-    """Installing a higher-priority table-0 entry from inside the deliver
-    callback must take effect for the rest of the same batch — the batch's
-    pre-resolved lookups and memo must not outlive the mutation."""
+    """Installing a higher-priority table-0 entry between two packets must
+    take effect for the rest of the same burst — no compiled lookup may
+    outlive the mutation."""
 
     def between(switch, index):
         if index == install_after:
@@ -276,13 +287,12 @@ def test_table_mutation_mid_batch(population, install_after, set_value):
                 priority=7,
             )
 
-    scalar = _build_switch(_group_rules(), fast_path=True, groups=True)
-    batched = _build_switch(_group_rules(), fast_path=True, groups=True)
-
-    assert _run_scalar(scalar, population, between=between) == _run_batched(
-        batched, population, between=between
+    _assert_engines_agree(
+        _build_switch(_group_rules(), fast_path=False, groups=True),
+        _build_switch(_group_rules(), fast_path=True, groups=True),
+        population,
+        between,
     )
-    assert _counters(scalar) == _counters(batched)
 
 
 @settings(max_examples=100, deadline=None)
@@ -296,13 +306,11 @@ def test_table_mutation_mid_batch(population, install_after, set_value):
 def test_late_table_mutation_mid_batch(
     rules, population, install_after, target_table, set_value
 ):
-    """Mutating a *later* table mid-batch must invalidate recorded chains.
+    """Mutating a *later* table mid-burst must invalidate the fast path.
 
-    The batch engine memoizes whole entry chains per union key, so an
-    install into table 1 or 2 — which the table-0 identity of a pre-resolved
-    entry cannot see — must still retire every chain recorded before the
-    install (the generation guard sums all table versions, not just
-    table 0's)."""
+    An install into table 1 or 2 is invisible to table 0, so the fast path
+    must retire every compiled table, not just the first, when any table
+    of the pipeline changes."""
 
     def between(switch, index):
         if index == install_after:
@@ -315,10 +323,9 @@ def test_late_table_mutation_mid_batch(
                 priority=9,
             )
 
-    scalar = _build_switch(rules, fast_path=True)
-    batched = _build_switch(rules, fast_path=True)
-
-    assert _run_scalar(scalar, population, between=between) == _run_batched(
-        batched, population, between=between
+    _assert_engines_agree(
+        _build_switch(rules, fast_path=False),
+        _build_switch(rules, fast_path=True),
+        population,
+        between,
     )
-    assert _counters(scalar) == _counters(batched)

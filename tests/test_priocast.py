@@ -10,7 +10,7 @@ from repro.analysis.complexity import priocast_message_count
 from repro.core.runtime import SmartSouthRuntime
 from repro.core.services.anycast import PriocastService
 from repro.net.simulator import Network
-from repro.net.topology import erdos_renyi, line, ring
+from repro.net.topology import complete, erdos_renyi, line, ring
 
 
 def run_priocast(topology, root, priorities, mode="interpreted", fail=()):
@@ -117,3 +117,13 @@ class TestServiceConfig:
     def test_nonpositive_gid_rejected(self):
         with pytest.raises(ValueError):
             PriocastService().add_member(0, 1, 1)
+
+    def test_out_of_range_config_rejected_at_construction(self, engine_mode):
+        # Both engines reject a bad mapping the same way, before any rules
+        # are compiled or any packet moves.
+        runtime = SmartSouthRuntime(complete(5), mode=engine_mode)
+        with pytest.raises(ValueError, match=r"priority must be in \[1, 255\]"):
+            runtime.priocast(0, 2, {2: {4: 1000}})
+        with pytest.raises(ValueError, match="group ids must be positive"):
+            runtime.anycast(0, 0, {0: {4}})
+        assert runtime.network.trace.in_band_messages == 0

@@ -235,24 +235,27 @@ class TestRegistry:
                 yield
 
 
+@pytest.fixture(scope="module")
+def repo_report():
+    """One whole-repo scan, shared by every repo-gate test."""
+    return run_sancheck()
+
+
 class TestRepoGate:
-    def test_repo_has_zero_unbaselined_findings(self):
-        report = run_sancheck()
-        assert report.exit_code == 0, (
+    def test_repo_has_zero_unbaselined_findings(self, repo_report):
+        assert repo_report.exit_code == 0, (
             "new sanitizer findings in the repo source:\n"
-            + report.format_text()
+            + repo_report.format_text()
         )
 
-    def test_committed_baseline_has_no_stale_entries(self):
-        report = run_sancheck()
-        assert not report.stale_baseline, (
+    def test_committed_baseline_has_no_stale_entries(self, repo_report):
+        assert not repo_report.stale_baseline, (
             "baseline entries whose sites are fixed — prune them: "
-            f"{report.stale_baseline}"
+            f"{repo_report.stale_baseline}"
         )
 
-    def test_repo_scan_paths_are_package_relative(self):
-        report = run_sancheck()
-        assert all(f.path.startswith("repro/") for f in report.findings)
+    def test_repo_scan_paths_are_package_relative(self, repo_report):
+        assert all(f.path.startswith("repro/") for f in repo_report.findings)
 
 
 class TestCli:

@@ -8,13 +8,15 @@ from repro.net.link import Direction, Link
 from repro.net.simulator import Network, SimulationLimitError, Simulator
 from repro.net.topology import Topology, line, ring
 from repro.net.trace import EventKind, Trace, TraceEvent
+from repro.openflow.actions import Instructions, Output
+from repro.openflow.match import Match
 from repro.openflow.packet import (
     CONTROLLER_PORT,
     LOCAL_PORT,
     Packet,
     reset_packet_ids,
 )
-from repro.openflow.switch import PacketOut
+from repro.openflow.switch import PacketOut, Switch
 
 
 class TestSimulator:
@@ -57,13 +59,17 @@ class TestSimulator:
 
     def test_event_budget(self):
         sim = Simulator()
+        fired = []
 
         def reschedule():
+            fired.append(sim.now)
             sim.schedule(1.0, reschedule)
 
         sim.schedule(1.0, reschedule)
         with pytest.raises(SimulationLimitError):
             sim.run(max_events=100)
+        # Each timer charges one unit; the 101st event trips the limit.
+        assert len(fired) == 101
 
 
 def echo_handler(packet: Packet, in_port: int) -> list[PacketOut]:
@@ -211,25 +217,20 @@ class TestNetworkMotion:
 
 
 class TestEventBudget:
-    """``max_events`` counts every arrival and timer identically in both
-    drain modes — a batched run of *n* arrivals consumes *n* of the budget,
-    and the limit error fires at exactly the same packet."""
+    """``max_events`` charges every timer and every packet arrival one
+    unit, same-time ones in one queue bucket included, and the limit fires
+    at exactly the same packet on both switch engines."""
 
-    def _spin(self, batch: bool, max_events: int) -> Network:
-        """Ring of forwarders with several concurrent packets: every node
-        bounces each arrival out port 1 forever, so the run only ends when
+    def _spin(self, fast_path: bool, max_events: int) -> Network:
+        """Ring of switches with several concurrent packets: every switch
+        sends each arrival out port 1 forever, so the run only ends when
         the event budget does."""
         reset_packet_ids()
-        net = Network(ring(3), batch=batch)
-
-        def forward_batch(items, deliver):
-            for index, (packet, in_port) in enumerate(items):
-                deliver(index, [(1, packet)])
-
+        net = Network(ring(3))
         for node in net.topology.nodes():
-            net.set_handler(node, lambda p, i: [PacketOut(1, p)])
-            if batch:
-                net.set_batch_handler(node, forward_batch)
+            switch = Switch(node, 2, fast_path=fast_path)
+            switch.install(0, Match(), Instructions(apply_actions=(Output(1),)))
+            net.set_handler(node, switch.process)
         for _ in range(6):
             net.inject(0, Packet())
         with pytest.raises(SimulationLimitError):
@@ -237,42 +238,37 @@ class TestEventBudget:
         return net
 
     def test_limit_fires_identically_across_modes(self):
-        scalar = self._spin(batch=False, max_events=40)
-        batched = self._spin(batch=True, max_events=40)
+        interpreted = self._spin(fast_path=False, max_events=40)
+        fast = self._spin(fast_path=True, max_events=40)
         # Byte-identical traces: same packets processed, same hop order,
         # same point of interruption.
-        assert scalar.trace.to_jsonl() == batched.trace.to_jsonl()
-        assert scalar.trace.count(EventKind.HOP) == batched.trace.count(
-            EventKind.HOP
-        )
+        assert interpreted.trace.to_jsonl() == fast.trace.to_jsonl()
+        assert interpreted.packet_steps == fast.packet_steps == 41
 
     def test_budget_counts_arrivals_not_batches(self):
-        # 6 same-time arrivals form one batch; if the batch consumed one
-        # budget unit instead of six, this run would survive max_events=6.
-        reset_packet_ids()
-        net = Network(ring(3), batch=True)
-
-        def forward_batch(items, deliver):
-            for index, (packet, in_port) in enumerate(items):
-                deliver(index, [(1, packet)])
-
-        for node in net.topology.nodes():
-            net.set_handler(node, lambda p, i: [PacketOut(1, p)])
-            net.set_batch_handler(node, forward_batch)
-        for _ in range(6):
-            net.inject(0, Packet())
-        with pytest.raises(SimulationLimitError):
-            net.run(max_events=6)
+        # Six same-time arrivals share one queue bucket; each charges one
+        # unit, so they use up a budget of six and the seventh event (the
+        # first forwarded arrival) trips the limit.  Were the bucket
+        # charged once, this run would survive max_events=6.
+        net = self._spin(fast_path=True, max_events=6)
+        assert net.packet_steps == 7
+        assert net.trace.count(EventKind.HOP) == 7
 
     def test_budget_counts_timers_in_batch_mode(self):
+        # Ten timers share one bucket.  The sixth trips a budget of five;
+        # the unprocessed tail of the bucket stays queued, and a second
+        # run drains it in order.
         sim = Simulator()
-
-        def reschedule():
-            sim.schedule(1.0, reschedule)
-
-        sim.schedule(1.0, reschedule)
+        fired = []
+        for index in range(10):
+            sim.at(1.0, lambda index=index: fired.append(index))
         with pytest.raises(SimulationLimitError):
-            sim.run(max_events=100, batch=True)
+            sim.run(max_events=5)
+        assert fired == [0, 1, 2, 3, 4, 5]
+        assert sim.pending == 4
+        assert sim.run() == 4
+        assert fired == list(range(10))
+        assert sim.pending == 0
 
 
 class TestLink:

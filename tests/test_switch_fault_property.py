@@ -15,8 +15,8 @@ Two determinism contracts back the switch chaos campaigns:
   retried :meth:`Switch.adopt_program` loop must raise the identical
   :class:`InstallError` sequence and converge to the identical inventory
   digest whether the target switch runs the compiled fast path or the
-  interpreted scan — and the adopted program must then behave identically
-  under scalar and batched processing.
+  interpreted scan — and the adopted program must then process the same
+  arrivals identically on both engines.
 """
 
 from __future__ import annotations
@@ -187,6 +187,18 @@ def test_partial_install_ordering_across_fast_path(program, prob, budget, seed):
     assert switch_i.describe() == switch_c.describe()
 
 
+def _process_all(switch, population):
+    reset_packet_ids()
+    items = [(Packet(fields=dict(fields)), port) for fields, port in population]
+    return [
+        [
+            (o.port, sorted(o.packet.fields.items()), o.packet.packet_id)
+            for o in switch.process(packet, port)
+        ]
+        for packet, port in items
+    ]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     programs(),
@@ -199,41 +211,18 @@ def test_partial_install_ordering_across_fast_path(program, prob, budget, seed):
     ),
 )
 def test_adopted_program_agrees_scalar_vs_batch(program, seed, population):
-    """After a fault-interrupted adoption converges, scalar and batched
-    processing of the same arrivals agree and leave the digest untouched."""
+    """After a fault-interrupted adoption converges, the interpreted and
+    the fast-path switch process the same burst of arrivals identically
+    and leave the digest untouched."""
     expected = _expected_switch(program)
-    _, scalar_switch = _adopt_until_converged(True, expected, 1.0, 2, seed)
-    _, batched_switch = _adopt_until_converged(True, expected, 1.0, 2, seed)
+    _, interpreted = _adopt_until_converged(False, expected, 1.0, 2, seed)
+    _, fast = _adopt_until_converged(True, expected, 1.0, 2, seed)
 
-    reset_packet_ids()
-    scalar_items = [
-        (Packet(fields=dict(fields)), port) for fields, port in population
-    ]
-    scalar_out = [
-        [
-            (o.port, sorted(o.packet.fields.items()), o.packet.packet_id)
-            for o in scalar_switch.process(packet, port)
-        ]
-        for packet, port in scalar_items
-    ]
-
-    reset_packet_ids()
-    batched_items = [
-        (Packet(fields=dict(fields)), port) for fields, port in population
-    ]
-    batched_out = [None] * len(batched_items)
-
-    def deliver(index, outputs):
-        batched_out[index] = [
-            (port, sorted(pkt.fields.items()), pkt.packet_id)
-            for port, pkt in outputs
-        ]
-
-    batched_switch.process_batch(batched_items, deliver)
-
-    assert scalar_out == batched_out
-    assert scalar_switch.inventory_digest() == batched_switch.inventory_digest()
-    assert scalar_switch.inventory_digest() == expected.inventory_digest()
+    assert _process_all(interpreted, population) == _process_all(
+        fast, population
+    )
+    assert interpreted.inventory_digest() == fast.inventory_digest()
+    assert fast.inventory_digest() == expected.inventory_digest()
 
 
 @settings(max_examples=100, deadline=None)

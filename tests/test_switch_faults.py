@@ -21,6 +21,7 @@ from repro.openflow.packet import Packet
 from repro.openflow.switch import Switch, SwitchFaultConfig
 from repro.net.simulator import Network
 from repro.net.topology import ring
+from repro.net.trace import EventKind
 
 
 def make_switch(num_ports=4):
@@ -37,15 +38,19 @@ class TestCrashReboot:
         assert switch.process(Packet(), in_port=1) == []
 
     def test_crashed_switch_drops_batches(self):
-        switch = make_switch()
+        # Two packets reach a crashed switch at the same instant (one
+        # event-queue bucket): both are dropped, neither is forwarded.
+        net = Network(ring(3))
+        switch = Switch(0, 2, liveness=net.liveness_fn(0))
         switch.install(0, Match(), Instructions(apply_actions=(Output(2),)))
         switch.crash()
-        got = {}
-        switch.process_batch(
-            [(Packet(), 1), (Packet(), 1)],
-            lambda index, outs: got.__setitem__(index, outs),
-        )
-        assert got == {0: [], 1: []}
+        net.set_handler(0, switch.process)
+        net.inject(0, Packet(), in_port=1)
+        net.inject(0, Packet(), in_port=1)
+        net.run()
+        assert net.packet_steps == 2
+        assert net.trace.count(EventKind.PIPELINE_DROP) == 2
+        assert net.trace.count(EventKind.HOP) == 0
 
     def test_crash_is_idempotent_and_preserves_state_until_reboot(self):
         switch = make_switch()
