@@ -90,11 +90,12 @@ def record_workload(topo):
 
 def _fresh_switches(net, fast: bool):
     switches = {
-        node: compile_service(net, node, SnapshotService(), fast_path=fast)
+        node: compile_service(net, node, SnapshotService())
         for node in net.topology.nodes()
     }
     if fast:
         for switch in switches.values():
+            switch.enable_fast_path()
             switch.warm_fast_path()  # compile outside the timed region
     return switches
 

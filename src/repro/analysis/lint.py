@@ -306,10 +306,6 @@ class LintContext:
             return budget > 4 * self.topology.num_edges + 2
         return trigger_classes(self.service)[1]
 
-    def entry_label(self, node: int, table_id: int, index: int) -> str:
-        _idx, entry = self.analyzer(node).entries[table_id][index]
-        return entry.cookie or f"entry[{index}]"
-
 
 # --------------------------------------------------------------------- #
 # Built-in rules                                                        #

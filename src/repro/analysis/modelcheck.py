@@ -90,7 +90,7 @@ import itertools
 import json
 from collections import deque
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.analysis.symbolic import (
     METADATA_WIDTH,
@@ -881,11 +881,6 @@ def _observe(cube: Cube) -> tuple:
     return tuple(
         sorted((name, value) for name, value in cube.witness().items() if value)
     )
-
-
-def obs_fields(observation: tuple) -> dict[str, int]:
-    """The field dict of a report/delivery observable."""
-    return dict(observation[1])
 
 
 # --------------------------------------------------------------------- #
@@ -2344,8 +2339,3 @@ def check_engine(engine, config: CheckConfig | None = None) -> CheckReport:
     return run_check(
         switches, engine.network.topology, engine.service, config
     )
-
-
-def iter_invariants() -> Iterator[Invariant]:
-    """Registered invariants in registration order (docs / CLI listing)."""
-    return iter(INVARIANTS.values())

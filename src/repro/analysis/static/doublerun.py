@@ -43,12 +43,12 @@ def scenario_id(scenario: Scenario) -> str:
 
 def scenario_digests(
     scenarios: tuple[Scenario, ...] = GOLDEN_SCENARIOS,
-    fast_path: bool = True,
 ) -> dict[str, str]:
-    """scenario id → SHA-256 of its canonical observable JSON (in-process)."""
+    """scenario id → SHA-256 of its canonical observable JSON (in-process),
+    on fast-path switches."""
     digests: dict[str, str] = {}
     for scenario in scenarios:
-        observables = run_scenario(*scenario, fast_path=fast_path)
+        observables = run_scenario(*scenario, fast_path=True)
         canonical = json.dumps(
             observables, sort_keys=True, separators=(",", ":"), default=str
         )

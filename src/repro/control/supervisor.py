@@ -33,7 +33,7 @@ campaigns on top of this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from repro.core.engine import TraversalResult, _BaseEngine, make_engine
 from repro.core.epoch import EpochClock, EpochGate, watchdog_deadline
@@ -698,49 +698,44 @@ class SupervisedRuntime:
             report.rounds += 1
             entries: list[SwitchResync] = []
             reprogrammed = 0
-            for key in sorted(self._supervisors):
-                supervisor = self._supervisors[key]
-                engine = supervisor.engine
-                installed = getattr(engine, "switches", None)
-                if not installed:
-                    # Interpreted engines keep no switch-side flow state to
-                    # reconcile; (re)binding happens on the next call.
-                    continue
-                service = supervisor.service
-                for node in sorted(installed):
-                    if self.channel is not None and not self.channel.connected(
-                        node
-                    ):
-                        entries.append(
-                            SwitchResync(node, service.name, RESYNC_UNREACHABLE)
-                        )
-                        continue
-                    expected = compile_service(
-                        self.network,
-                        node,
-                        service,
-                        fast_path=getattr(engine, "fast_path", None),
-                    )
-                    if (
-                        installed[node].inventory_digest()
-                        == expected.inventory_digest()
-                    ):
-                        entries.append(
-                            SwitchResync(node, service.name, RESYNC_OK)
-                        )
-                        continue
-                    installed[node] = expected
-                    self.network.set_handler(node, expected.process)
+            for service, installed, node in self._compiled_switches():
+                if self.channel is not None and not self.channel.connected(node):
                     entries.append(
-                        SwitchResync(node, service.name, RESYNC_REPROGRAMMED)
+                        SwitchResync(node, service.name, RESYNC_UNREACHABLE)
                     )
-                    report.reprogrammed_nodes.append(node)
-                    reprogrammed += 1
+                    continue
+                expected = compile_service(self.network, node, service)
+                if installed[node].inventory_digest() == expected.inventory_digest():
+                    entries.append(SwitchResync(node, service.name, RESYNC_OK))
+                    continue
+                installed[node] = expected
+                self.network.set_handler(node, expected.process)
+                entries.append(
+                    SwitchResync(node, service.name, RESYNC_REPROGRAMMED)
+                )
+                report.reprogrammed_nodes.append(node)
+                reprogrammed += 1
             report.switches = entries
             if reprogrammed == 0:
                 report.converged = True
                 break
         return report
+
+    def _compiled_switches(self) -> Iterator[tuple[Service, dict, int]]:
+        """Yield ``(service, switches, node)`` for every switch of every
+        supervised compiled engine, in service-key then node order.
+
+        ``switches`` is the engine's live node -> Switch map, so a caller
+        may replace the entry it was handed.  Interpreted engines keep no
+        switch-side flow state and contribute nothing.
+        """
+        for key in sorted(self._supervisors):
+            supervisor = self._supervisors[key]
+            installed = getattr(supervisor.engine, "switches", None)
+            if not installed:
+                continue
+            for node in sorted(installed):
+                yield supervisor.service, installed, node
 
     # -- switch re-adoption ----------------------------------------------- #
 
@@ -748,17 +743,15 @@ class SupervisedRuntime:
         """Every installed Switch object currently serving *node*.
 
         Walks the cached compiled engines in deterministic (service-key)
-        order; interpreted engines contribute nothing.  The chaos harness
-        uses this to aim switch-level faults at whatever box is actually
-        bound to a node, and tests use it to poke switch state directly.
+        order.  The chaos harness uses this to aim switch-level faults at
+        whatever box is actually bound to a node, and tests use it to poke
+        switch state directly.
         """
-        switches = []
-        for key in sorted(self._supervisors):
-            engine = self._supervisors[key].engine
-            installed = getattr(engine, "switches", None)
-            if installed and node in installed:
-                switches.append(installed[node])
-        return switches
+        return [
+            installed[at]
+            for _service, installed, at in self._compiled_switches()
+            if at == node
+        ]
 
     def readopt(self, max_rounds: int = 4) -> ReadoptReport:
         """Re-adopt rebooted (or otherwise drifted) switches.
@@ -797,83 +790,55 @@ class SupervisedRuntime:
             dark: list[int] = []
             unreachable: list[int] = []
             still_drifted: list[int] = []
-            for key in sorted(self._supervisors):
-                supervisor = self._supervisors[key]
-                engine = supervisor.engine
-                installed = getattr(engine, "switches", None)
-                if not installed:
-                    # Interpreted engines keep no switch-side flow state.
-                    continue
-                service = supervisor.service
-                for node in sorted(installed):
-                    switch = installed[node]
-                    if self.channel is not None and not self.channel.connected(
-                        node
-                    ):
-                        report.attempts.append(
-                            ReadoptAttempt(
-                                round_index, node, service.name,
-                                READOPT_UNREACHABLE,
-                            )
-                        )
-                        if node not in unreachable:
-                            unreachable.append(node)
-                        continue
-                    if switch.down:
-                        report.attempts.append(
-                            ReadoptAttempt(
-                                round_index, node, service.name, READOPT_DARK
-                            )
-                        )
-                        if node not in dark:
-                            dark.append(node)
-                        continue
-                    expected = compile_service(
-                        self.network,
-                        node,
-                        service,
-                        fast_path=getattr(engine, "fast_path", None),
-                    )
-                    if (
-                        switch.inventory_digest()
-                        == expected.inventory_digest()
-                    ):
-                        report.attempts.append(
-                            ReadoptAttempt(
-                                round_index, node, service.name, READOPT_OK
-                            )
-                        )
-                        continue
-                    try:
-                        switch.adopt_program(expected)
-                    except InstallError:
-                        report.attempts.append(
-                            ReadoptAttempt(
-                                round_index, node, service.name,
-                                READOPT_FAILED,
-                            )
-                        )
-                        drifted += 1
-                        if node not in still_drifted:
-                            still_drifted.append(node)
-                        continue
+            for service, installed, node in self._compiled_switches():
+                switch = installed[node]
+                if self.channel is not None and not self.channel.connected(node):
                     report.attempts.append(
                         ReadoptAttempt(
-                            round_index, node, service.name,
-                            READOPT_REPROGRAMMED,
+                            round_index, node, service.name, READOPT_UNREACHABLE
                         )
                     )
-                    report.reprogrammed_nodes.append(node)
-                    # A completed push matches by construction, but a
-                    # paranoid controller re-verifies the digest rather
-                    # than trusting its own bookkeeping.
-                    if (
-                        switch.inventory_digest()
-                        != expected.inventory_digest()
-                    ):
-                        drifted += 1
-                        if node not in still_drifted:
-                            still_drifted.append(node)
+                    if node not in unreachable:
+                        unreachable.append(node)
+                    continue
+                if switch.down:
+                    report.attempts.append(
+                        ReadoptAttempt(round_index, node, service.name, READOPT_DARK)
+                    )
+                    if node not in dark:
+                        dark.append(node)
+                    continue
+                expected = compile_service(self.network, node, service)
+                if switch.inventory_digest() == expected.inventory_digest():
+                    report.attempts.append(
+                        ReadoptAttempt(round_index, node, service.name, READOPT_OK)
+                    )
+                    continue
+                try:
+                    switch.adopt_program(expected)
+                except InstallError:
+                    report.attempts.append(
+                        ReadoptAttempt(
+                            round_index, node, service.name, READOPT_FAILED
+                        )
+                    )
+                    drifted += 1
+                    if node not in still_drifted:
+                        still_drifted.append(node)
+                    continue
+                report.attempts.append(
+                    ReadoptAttempt(
+                        round_index, node, service.name, READOPT_REPROGRAMMED
+                    )
+                )
+                report.reprogrammed_nodes.append(node)
+                # A completed push matches by construction, but a
+                # paranoid controller re-verifies the digest rather
+                # than trusting its own bookkeeping.
+                if switch.inventory_digest() != expected.inventory_digest():
+                    drifted += 1
+                    if node not in still_drifted:
+                        still_drifted.append(node)
             pending["drifted"] = drifted
             report.dark_nodes = dark
             report.unreachable_nodes = unreachable

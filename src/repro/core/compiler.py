@@ -1042,22 +1042,14 @@ def _emit_service(
     codegen.emit_extra_tables(cg)
 
 
-def compile_service(
-    network: Network,
-    node: int,
-    service: Service,
-    fast_path: bool | None = None,
-) -> Switch:
+def compile_service(network: Network, node: int, service: Service) -> Switch:
     """Compile *service* for *node*: the paper's offline stage, for real.
 
-    ``fast_path`` selects the switch's packet engine (None: the network's
-    default); see :mod:`repro.openflow.fastpath`.
+    The switch runs the network's packet engine (``network.fast_path``).
     """
     deg = network.topology.degree(node)
-    if fast_path is None:
-        fast_path = network.fast_path
     switch = Switch(
-        node, deg, liveness=network.liveness_fn(node), fast_path=fast_path
+        node, deg, liveness=network.liveness_fn(node), fast_path=network.fast_path
     )
     _emit_service(switch, network, node, service)
     return switch
@@ -1070,10 +1062,7 @@ SERVICE_BLOCK_GROUPS = 100_000
 
 
 def compile_services(
-    network: Network,
-    node: int,
-    services: Sequence[Service],
-    fast_path: bool | None = None,
+    network: Network, node: int, services: Sequence[Service]
 ) -> Switch:
     """Compile several services onto one switch.
 
@@ -1081,16 +1070,15 @@ def compile_services(
     blocks (each a relocated copy of the single-service layout); unknown
     service ids are dropped by the table-0 miss, exactly as an OpenFlow
     switch would.  Proves the paper's implicit claim that the data plane can
-    host all SmartSouth functions simultaneously.
+    host all SmartSouth functions simultaneously.  The switch runs the
+    network's packet engine, as in :func:`compile_service`.
     """
     ids = [service.service_id for service in services]
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate service ids in {ids}")
     deg = network.topology.degree(node)
-    if fast_path is None:
-        fast_path = network.fast_path
     switch = Switch(
-        node, deg, liveness=network.liveness_fn(node), fast_path=fast_path
+        node, deg, liveness=network.liveness_fn(node), fast_path=network.fast_path
     )
     for index, service in enumerate(services):
         table_base = 1 + index * SERVICE_BLOCK_TABLES

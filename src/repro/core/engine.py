@@ -47,10 +47,11 @@ class _BaseEngine:
     """Shared install/trigger plumbing."""
 
     mode = "abstract"
+    #: The service a single-service engine runs.
+    service: Service
 
-    def __init__(self, network: Network, service: Service) -> None:
+    def __init__(self, network: Network) -> None:
         self.network = network
-        self.service = service
         self.reports: list[tuple[int, Packet]] = []
         self.deliveries: list[tuple[int, Packet]] = []
         self._installed = False
@@ -103,7 +104,21 @@ class _BaseEngine:
         result then carries no reports or message counts.
         """
         self.install()
-        packet_fields = {FIELD_SVC: self.service.service_id}
+        return self._trigger(
+            self.service.service_id, root, fields, from_controller, payload, run
+        )
+
+    def _trigger(
+        self,
+        service_id: int,
+        root: int,
+        fields: dict[str, int] | None,
+        from_controller: bool,
+        payload=None,
+        run: bool = True,
+    ) -> TraversalResult:
+        """Inject one *service_id* trigger at *root* on the bound network."""
+        packet_fields = {FIELD_SVC: service_id}
         if fields:
             packet_fields.update(fields)
         packet = Packet(fields=packet_fields, payload=payload)
@@ -137,7 +152,8 @@ class InterpretedEngine(_BaseEngine):
     mode = "interpreted"
 
     def __init__(self, network: Network, service: Service) -> None:
-        super().__init__(network, service)
+        super().__init__(network)
+        self.service = service
         self.interpreter = TemplateInterpreter(network, service)
 
     def _do_install(self) -> None:
@@ -150,31 +166,23 @@ class InterpretedEngine(_BaseEngine):
 class CompiledEngine(_BaseEngine):
     """Compiled engine: OpenFlow rule sets on simulated switches.
 
-    ``fast_path`` picks the switches' packet engine: the interpreted
-    per-entry scan (False) or the indexed dispatch of
-    :mod:`repro.openflow.fastpath` (True); None defers to the network's
-    ``fast_path`` default.  Both switch engines are observably identical.
+    The switches' packet engine (per-entry scan or the indexed dispatch of
+    :mod:`repro.openflow.fastpath`) is the network's ``fast_path`` choice;
+    both are observably identical.
     """
 
     mode = "compiled"
 
-    def __init__(
-        self,
-        network: Network,
-        service: Service,
-        fast_path: bool | None = None,
-    ) -> None:
-        super().__init__(network, service)
+    def __init__(self, network: Network, service: Service) -> None:
+        super().__init__(network)
+        self.service = service
         self.switches: dict[int, Switch] = {}
-        self.fast_path = network.fast_path if fast_path is None else fast_path
 
     def _do_install(self) -> None:
         from repro.core.compiler import compile_service
 
         for node in self.network.topology.nodes():
-            self.switches[node] = compile_service(
-                self.network, node, self.service, fast_path=self.fast_path
-            )
+            self.switches[node] = compile_service(self.network, node, self.service)
 
     def _bind_handlers(self) -> None:
         for node, switch in self.switches.items():
@@ -190,21 +198,17 @@ class CompiledEngine(_BaseEngine):
 
 
 def make_engine(
-    network: Network,
-    service: Service,
-    mode: str = "interpreted",
-    fast_path: bool | None = None,
+    network: Network, service: Service, mode: str = "interpreted"
 ) -> _BaseEngine:
-    """Factory: ``mode`` is "interpreted" or "compiled"; ``fast_path``
-    selects the compiled switches' packet engine (None: network default)."""
+    """Factory: ``mode`` is "interpreted" or "compiled"."""
     if mode == "interpreted":
         return InterpretedEngine(network, service)
     if mode == "compiled":
-        return CompiledEngine(network, service, fast_path=fast_path)
+        return CompiledEngine(network, service)
     raise ValueError(f"unknown engine mode {mode!r}")
 
 
-class MultiServiceEngine:
+class MultiServiceEngine(_BaseEngine):
     """Several SmartSouth services hosted on one data plane simultaneously.
 
     In compiled mode every switch gets one pipeline whose table 0 dispatches
@@ -219,49 +223,34 @@ class MultiServiceEngine:
         network: Network,
         services: list[Service],
         mode: str = "compiled",
-        fast_path: bool | None = None,
     ) -> None:
         if mode not in ("interpreted", "compiled"):
             raise ValueError(f"unknown engine mode {mode!r}")
         ids = [service.service_id for service in services]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate service ids in {ids}")
-        self.network = network
+        super().__init__(network)
         self.mode = mode
-        self.fast_path = network.fast_path if fast_path is None else fast_path
         self.services: dict[int, Service] = {
             service.service_id: service for service in services
         }
-        self.reports: list[tuple[int, Packet]] = []
-        self.deliveries: list[tuple[int, Packet]] = []
         self.switches: dict[int, Switch] = {}
         self._interpreters: dict[int, TemplateInterpreter] = {}
-        self._installed = False
 
-    def _on_report(self, node: int, packet: Packet) -> None:
-        self.reports.append((node, packet))
+    def _do_install(self) -> None:
+        if self.mode == "compiled":
+            from repro.core.compiler import compile_services
 
-    def _on_delivery(self, node: int, packet: Packet) -> None:
-        self.deliveries.append((node, packet))
+            ordered = list(self.services.values())
+            for node in self.network.topology.nodes():
+                self.switches[node] = compile_services(self.network, node, ordered)
+        else:
+            self._interpreters = {
+                sid: TemplateInterpreter(self.network, service)
+                for sid, service in self.services.items()
+            }
 
-    def install(self) -> None:
-        if not self._installed:
-            if self.mode == "compiled":
-                from repro.core.compiler import compile_services
-
-                ordered = list(self.services.values())
-                for node in self.network.topology.nodes():
-                    self.switches[node] = compile_services(
-                        self.network, node, ordered, fast_path=self.fast_path
-                    )
-            else:
-                self._interpreters = {
-                    sid: TemplateInterpreter(self.network, service)
-                    for sid, service in self.services.items()
-                }
-            self._installed = True
-        self.network.set_controller_sink(self._on_report)
-        self.network.set_delivery_sink(self._on_delivery)
+    def _bind_handlers(self) -> None:
         if self.mode == "compiled":
             for node, switch in self.switches.items():
                 self.network.set_handler(node, switch.process)
@@ -290,28 +279,7 @@ class MultiServiceEngine:
         service_id = service if isinstance(service, int) else service.service_id
         if service_id not in self.services:
             raise KeyError(f"service id {service_id} not installed")
-        packet_fields = {FIELD_SVC: service_id}
-        if fields:
-            packet_fields.update(fields)
-        packet = Packet(fields=packet_fields)
-
-        trace = self.network.trace
-        mark_reports = len(self.reports)
-        mark_deliveries = len(self.deliveries)
-        mark_in = trace.in_band_messages
-        mark_out = trace.out_band_messages
-        self.network.inject(
-            root, packet, in_port=LOCAL_PORT, from_controller=from_controller
-        )
-        self.network.run()
-        return TraversalResult(
-            root=root,
-            packet=packet,
-            reports=self.reports[mark_reports:],
-            deliveries=self.deliveries[mark_deliveries:],
-            in_band_messages=trace.in_band_messages - mark_in,
-            out_band_messages=trace.out_band_messages - mark_out,
-        )
+        return self._trigger(service_id, root, fields, from_controller)
 
     def total_rules(self) -> int:
         self.install()

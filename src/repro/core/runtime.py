@@ -74,18 +74,12 @@ class SmartSouthRuntime:
     """All four data-plane functions over one network."""
 
     def __init__(
-        self,
-        network: Network | Topology,
-        mode: str = "interpreted",
-        fast_path: bool | None = None,
+        self, network: Network | Topology, mode: str = "interpreted"
     ) -> None:
         if isinstance(network, Topology):
             network = Network(network)
         self.network = network
         self.mode = mode
-        #: Compiled-switch engine flag (None: the network's default); see
-        #: :mod:`repro.openflow.fastpath` and docs/FASTPATH.md.
-        self.fast_path = network.fast_path if fast_path is None else fast_path
         self._engines: dict[str, _BaseEngine] = {}
 
     # ------------------------------------------------------------------ #
@@ -104,9 +98,7 @@ class SmartSouthRuntime:
         key = key or service.name
         engine = self._engines.get(key)
         if engine is None:
-            engine = make_engine(
-                self.network, service, self.mode, fast_path=self.fast_path
-            )
+            engine = make_engine(self.network, service, self.mode)
             self._engines[key] = engine
         return engine
 
@@ -197,14 +189,12 @@ class SmartSouthRuntime:
     def detect_blackhole_smart(self, root: int) -> BlackholeVerdict:
         """Two-phase smart-counter detection (3 out-of-band messages).
 
-        Each call gets a fresh install: smart counters are stateful switch
-        groups, and the detection's "fetch = 1" test assumes they start
-        from zero (a real controller would reset the groups instead).
+        Each call gets a fresh, uncached install: smart counters are
+        stateful switch groups, and the detection's "fetch = 1" test assumes
+        they start from zero (a real controller would reset the groups
+        instead).
         """
-        self._blackhole_runs = getattr(self, "_blackhole_runs", 0) + 1
-        engine = self.engine_for(
-            BlackholeService(), key=f"blackhole:{self._blackhole_runs}"
-        )
+        engine = make_engine(self.network, BlackholeService(), self.mode)
         return SmartCounterBlackholeDetector(engine).run(root)
 
     def detect_blackhole_ttl(self, root: int) -> BlackholeVerdict:

@@ -210,7 +210,7 @@ def run_scenario(
         service, triggers = _build_storm(service_name, topology, root, plan_rng)
     else:
         service, triggers = _build_run(service_name, topology, root, plan_rng)
-    engine = make_engine(network, service, "compiled", fast_path=fast_path)
+    engine = make_engine(network, service, "compiled")
 
     results = []
     error = None

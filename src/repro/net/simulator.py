@@ -149,11 +149,12 @@ class Simulator:
 class Network:
     """A topology with runtime link state, handlers, and the event loop.
 
-    ``fast_path`` is the network-wide engine default: compiled engines built
-    on this network run their switches on the indexed fast path
-    (:mod:`repro.openflow.fastpath`) unless overridden per engine.  It does
-    not change simulator semantics — both switch engines are observably
-    identical — only the speed of the per-packet pipeline.
+    ``fast_path`` is the network's one packet-engine choice: every switch
+    compiled for this network (engines, multi-service pipelines, controller
+    resynchronization and re-adoption) runs on the indexed fast path
+    (:mod:`repro.openflow.fastpath`).  It does not change simulator
+    semantics — both switch engines are observably identical — only the
+    speed of the per-packet pipeline.
     """
 
     def __init__(

@@ -173,10 +173,6 @@ class GroupTable:
                 return bucket
         return None
 
-    def bucket_live(self, bucket: Bucket) -> bool:
-        """Expose bucket liveness (used by the static verifier)."""
-        return bucket.watch_port is None or self._liveness(bucket.watch_port)
-
     def _run_bucket(
         self,
         bucket: Bucket,

@@ -165,7 +165,7 @@ def test_storms_produce_multi_packet_batches():
         network, PROFILES[profile_name], service_name, root, plan_rng, None
     )
     service, triggers = _build_storm(service_name, topology, root, plan_rng)
-    engine = make_engine(network, service, "compiled", fast_path=True)
+    engine = make_engine(network, service, "compiled")
 
     arrivals = Counter()
     original = network.sim.arrival_handler

@@ -19,7 +19,7 @@ import json
 import pytest
 
 from repro.net.chaos import PROFILES, TOPOLOGIES
-from tests.fastpath_util import SERVICES, run_scenario
+from repro.net.scenario import SERVICES, run_scenario
 
 SEEDS = (11, 42)
 

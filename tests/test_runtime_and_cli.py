@@ -24,6 +24,14 @@ class TestRuntimeFacade:
         runtime.snapshot(1)
         assert runtime._engines["snapshot"] is first
 
+    def test_smart_blackhole_calls_do_not_cache_engines(self):
+        runtime = SmartSouthRuntime(ring(5), mode="compiled")
+        runtime.snapshot(0)
+        cached = dict(runtime._engines)
+        for _ in range(3):
+            assert runtime.detect_blackhole_smart(0).found is False
+        assert runtime._engines == cached
+
     def test_services_can_interleave_on_one_network(self):
         runtime = SmartSouthRuntime(ring(5), mode="compiled")
         assert runtime.snapshot(0).ok

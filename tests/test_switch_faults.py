@@ -277,12 +277,7 @@ class TestReadopt:
 
     def expected_digest(self, runtime, node):
         supervisor = runtime._supervisors[sorted(runtime._supervisors)[0]]
-        expected = compile_service(
-            runtime.network,
-            node,
-            supervisor.service,
-            fast_path=getattr(supervisor.engine, "fast_path", None),
-        )
+        expected = compile_service(runtime.network, node, supervisor.service)
         return expected.inventory_digest()
 
     def test_clean_fleet_converges_in_one_round(self):
@@ -397,12 +392,7 @@ class TestCrashMidTraversal:
         assert ledger == [(0, READOPT_FAILED), (1, READOPT_REPROGRAMMED)]
 
         supervisor = runtime._supervisors[sorted(runtime._supervisors)[0]]
-        expected = compile_service(
-            network,
-            2,
-            supervisor.service,
-            fast_path=getattr(supervisor.engine, "fast_path", None),
-        )
+        expected = compile_service(network, 2, supervisor.service)
         assert victim.inventory_digest() == expected.inventory_digest()
         # The fixed point is stable: another sweep reprograms nothing.
         again = runtime.readopt()
